@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz chaos bench serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
+.PHONY: check build test race vet fuzz bench serve-smoke calibrate-smoke cluster-smoke obs-smoke qos-smoke soak soak-smoke clean
 
 check: vet build test race server-race
 
@@ -40,11 +40,6 @@ fuzz:
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)
-
-# Differential verification harness under fault injection; deterministic
-# for a fixed -seed.
-chaos:
-	$(GO) run ./cmd/chaos -seed 1 -cases 12
 
 # Boot hmmd, fire one request through the stress client's load-generator
 # mode, and assert a 200 plus a non-empty /metrics scrape.

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"hypermm/internal/calibrate"
-	"hypermm/internal/trace"
+	"hypermm/internal/obs"
 )
 
 // smallArgs is a fast grid that still covers 2D and 3D algorithms.
@@ -85,11 +85,11 @@ func TestTraceFlagWritesChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := trace.ParseChromeJSON(data)
+	f, err := obs.ParseChromeJSON(data)
 	if err != nil {
 		t.Fatalf("trace is not Chrome JSON: %v", err)
 	}
-	if len(evs) == 0 {
+	if len(f.TraceEvents) == 0 {
 		t.Error("trace has no events")
 	}
 }

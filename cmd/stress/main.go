@@ -43,6 +43,7 @@ import (
 	"hypermm"
 	"hypermm/internal/algorithms"
 	"hypermm/internal/matrix"
+	"hypermm/internal/obs"
 	"hypermm/internal/simnet"
 )
 
@@ -321,15 +322,8 @@ func traceFetch(client *http.Client, base string, o loadOpts) int {
 		fmt.Fprintf(os.Stderr, "stress: /v1/trace/%s status %d\n", id, tr.StatusCode)
 		return 1
 	}
-	var chrome struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(raw, &chrome); err != nil {
+	chrome, err := obs.ParseChromeJSON(raw)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "stress: trace is not Chrome trace-event JSON:", err)
 		return 1
 	}

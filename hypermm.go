@@ -29,6 +29,7 @@ package hypermm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hypermm/internal/algorithms"
 	"hypermm/internal/core"
@@ -217,6 +218,38 @@ func (a Algorithm) runner() func(*simnet.Machine, *matrix.Dense, *matrix.Dense) 
 		return algorithms.Fox
 	default:
 		panic(fmt.Sprintf("hypermm: invalid Algorithm(%d)", int(a)))
+	}
+}
+
+// Runnable reports whether the algorithm's grid embedding and block
+// partition exist for an n x n problem on p processors: the integer
+// shape preconditions its runner enforces. Applicable is the paper's
+// continuous Table 3 condition; Runnable is what Run will accept.
+func Runnable(alg Algorithm, n, p int) bool {
+	if n <= 0 || p <= 0 || p&(p-1) != 0 {
+		return false
+	}
+	d := bits.Len(uint(p)) - 1
+	switch alg {
+	case Simple, Cannon, HJE, TwoDiag, Fox:
+		// sqrt(p) x sqrt(p) mesh, blocks of n/sqrt(p).
+		if d%2 != 0 || n%(1<<(d/2)) != 0 {
+			return false
+		}
+		if alg == HJE && d > 2 {
+			// HJE additionally slices each block into log sqrt(p) strips.
+			return (n/(1<<(d/2)))%(d/2) == 0
+		}
+		return true
+	case DNS, ThreeDiag:
+		// cbrt(p)^3 grid, blocks of n/cbrt(p).
+		return d%3 == 0 && n%(1<<(d/3)) == 0
+	case Berntsen, AllTrans, ThreeAll:
+		// cbrt(p)^3 grid with the finer n/cbrt(p)^2 partition.
+		q := 1 << (d / 3)
+		return d%3 == 0 && n%(q*q) == 0
+	default:
+		return false
 	}
 }
 

@@ -435,6 +435,41 @@ func TestMatrixInternalPanicsOnCorruptShape(t *testing.T) {
 	m.At(0, 0)
 }
 
+// TestRunnableMatchesRunners: Runnable's acceptance must never lie —
+// every combination it accepts runs. Rejection may be conservative, but
+// the shapes below must be rejected for the reason named.
+func TestRunnableMatchesRunners(t *testing.T) {
+	A := RandomMatrix(24, 24, 1)
+	B := RandomMatrix(24, 24, 2)
+	for _, p := range []int{4, 8, 16, 64} {
+		for _, alg := range Algorithms {
+			if !Runnable(alg, 24, p) {
+				continue
+			}
+			if _, err := Run(alg, Config{P: p, Ports: OnePort, Ts: 1, Tw: 1}, A, B); err != nil {
+				t.Errorf("Runnable(%v, 24, %d) said yes but Run failed: %v", alg, p, err)
+			}
+		}
+	}
+	if Runnable(Cannon, 24, 3) {
+		t.Error("accepted non-power-of-two p")
+	}
+	if Runnable(Cannon, 25, 16) {
+		t.Error("accepted n not divisible by sqrt(p)")
+	}
+	if Runnable(ThreeAll, 24, 64) {
+		t.Error("accepted n=24 for 3dall at p=64 (needs 16 | n)")
+	}
+	// HJE slices blocks into log sqrt(p) strips: n=32, p=64 gives block
+	// edge 4, not divisible by 3.
+	if Runnable(HJE, 32, 64) {
+		t.Error("accepted HJE block edge not divisible by log sqrt(p)")
+	}
+	if !Runnable(HJE, 48, 64) {
+		t.Error("rejected HJE at n=48 p=64")
+	}
+}
+
 // TestDifferentialAllAlgorithms is the differential golden test: every
 // algorithm, on every shape its grid embedding admits, on both port
 // models, must reproduce the serial product. The shape lists mirror the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hypermm"
+	"hypermm/internal/obs"
 )
 
 // engineTranscript runs the engine with a capturing logger and returns
@@ -75,46 +76,59 @@ func brokenRun(alg hypermm.Algorithm, cfg hypermm.Config, A, B *hypermm.Matrix) 
 // TestBrokenKernelYieldsMinimizedRepro: with the broken kernel planted,
 // the engine must fail, shrink the case to something smaller than the
 // original, persist a repro, and that repro must replay to failure while
-// the kernel is broken and replay clean once it is fixed.
+// the kernel is broken and replay clean once it is fixed. Every oracle
+// under test must see the broken kernel through SetRunHook.
 func TestBrokenKernelYieldsMinimizedRepro(t *testing.T) {
 	restore := SetRunHook(brokenRun)
 	defer restore()
 
-	scaling, ok := OracleByName("scaling")
-	if !ok {
-		t.Fatal("scaling oracle missing")
+	var oracles []Oracle
+	for _, name := range []string{"scaling", "differential"} {
+		o, ok := OracleByName(name)
+		if !ok {
+			t.Fatalf("%s oracle missing", name)
+		}
+		oracles = append(oracles, o)
 	}
 	dir := t.TempDir()
 	_, sum := engineTranscript(t, Options{
-		Seed: 11, Iters: 3, Oracles: []Oracle{scaling}, ReproDir: dir, MaxFailures: 1,
+		Seed: 11, Iters: 3, Oracles: oracles, ReproDir: dir, MaxFailures: 1,
 	})
-	if len(sum.Failures) == 0 {
-		t.Fatal("broken kernel not detected")
+	caught := map[string]bool{}
+	var repros []*Repro
+	for _, f := range sum.Failures {
+		caught[f.Oracle] = true
+		if f.Case.N > f.Orig.N || f.Case.P > f.Orig.P {
+			t.Errorf("%s: shrinking grew the case: %v from %v", f.Oracle, f.Case, f.Orig)
+		}
+		if f.Steps == 0 {
+			t.Errorf("%s: no shrink steps accepted on %v", f.Oracle, f.Orig)
+		}
+		if f.Case.Plan != nil {
+			t.Errorf("%s: shrinking kept an irrelevant fault plan: %v", f.Oracle, f.Case)
+		}
+		if f.ReproPath == "" {
+			t.Fatalf("%s: no repro persisted", f.Oracle)
+		}
+		r, err := Load(f.ReproPath)
+		if err != nil {
+			t.Fatalf("loading repro: %v", err)
+		}
+		if err := r.Replay(); err == nil {
+			t.Errorf("%s: repro replayed clean while the kernel is still broken", f.Oracle)
+		}
+		repros = append(repros, r)
 	}
-	f := sum.Failures[0]
-	if f.Case.N > f.Orig.N || f.Case.P > f.Orig.P {
-		t.Errorf("shrinking grew the case: %v from %v", f.Case, f.Orig)
-	}
-	if f.Steps == 0 {
-		t.Errorf("no shrink steps accepted on %v", f.Orig)
-	}
-	if f.Case.Plan != nil {
-		t.Errorf("shrinking kept an irrelevant fault plan: %v", f.Case)
-	}
-	if f.ReproPath == "" {
-		t.Fatal("no repro persisted")
-	}
-
-	r, err := Load(f.ReproPath)
-	if err != nil {
-		t.Fatalf("loading repro: %v", err)
-	}
-	if err := r.Replay(); err == nil {
-		t.Error("repro replayed clean while the kernel is still broken")
+	for _, o := range oracles {
+		if !caught[o.Name] {
+			t.Errorf("broken kernel not detected by %s", o.Name)
+		}
 	}
 	restore()
-	if err := r.Replay(); err != nil {
-		t.Errorf("repro still fails after the kernel was fixed: %v", err)
+	for _, r := range repros {
+		if err := r.Replay(); err != nil {
+			t.Errorf("%s: repro still fails after the kernel was fixed: %v", r.Oracle, err)
+		}
 	}
 }
 
@@ -235,8 +249,18 @@ func TestWriteTrace(t *testing.T) {
 	if err := WriteTrace(c, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 || !bytes.Contains(buf.Bytes(), []byte("traceEvents")) {
-		t.Errorf("trace output does not look like Chrome trace JSON: %.80s", buf.String())
+	f, err := obs.ParseChromeJSON(buf.Bytes())
+	if err != nil {
+		t.Fatalf("trace output is not Chrome trace JSON: %v", err)
+	}
+	sims := 0
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "X" && ev.Cat == "sim" {
+			sims++
+		}
+	}
+	if sims == 0 {
+		t.Errorf("trace holds no simulated events: %.80s", buf.String())
 	}
 	if err := WriteTrace(Case{N: 5, P: 4}, &buf); err == nil {
 		t.Error("WriteTrace accepted a case with no runnable algorithm")

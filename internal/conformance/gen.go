@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"hypermm"
-	"hypermm/internal/verify"
 )
 
 // ContentKind selects how operand entries are generated. The shrinker
@@ -128,6 +127,22 @@ func (c Case) Recoverable() bool {
 	return p != nil && !p.Empty() && len(p.Down) == 0 && p.Drop <= 0.2 && p.MaxRetries >= 20
 }
 
+// totalOutage reports whether the case's plan takes every link down
+// (Src = Dst = -1) from time 0 and never brings it back: no transfer
+// can ever succeed, so any run that communicates must exhaust its retry
+// budget.
+func (c Case) totalOutage() bool {
+	if c.Plan == nil {
+		return false
+	}
+	for _, w := range c.Plan.Down {
+		if w.Src == -1 && w.Dst == -1 && w.From <= 0 && w.To >= farFuture {
+			return true
+		}
+	}
+	return false
+}
+
 // Sampling pools. Every n here is paired only with ps where at least
 // one algorithm is runnable; genCase re-draws until that holds (and
 // falls back to n=48, which every sampled p accepts).
@@ -150,7 +165,7 @@ var (
 func genCase(rng *rand.Rand) Case {
 	p := genPs[rng.Intn(len(genPs))]
 	n := genNs[rng.Intn(len(genNs))]
-	if len(verify.Algorithms(n, p)) == 0 {
+	if len(runnable(n, p)) == 0 {
 		n = 48 // divisible for every 2-D and 3-D embedding sampled here
 	}
 	tstw := genTsTw[rng.Intn(len(genTsTw))]

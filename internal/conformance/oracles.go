@@ -10,7 +10,6 @@ import (
 	"hypermm"
 	"hypermm/internal/cluster"
 	"hypermm/internal/cost"
-	"hypermm/internal/verify"
 )
 
 // runDistributed is the single entry point every oracle uses to run a
@@ -45,8 +44,9 @@ func Oracles() []Oracle {
 		{
 			Name: "differential",
 			Doc: "every runnable algorithm matches the serial kernel and every " +
-				"other algorithm; clean cases also reconcile measured counters " +
-				"with the Table 2 analytic model (internal/verify)",
+				"other algorithm; clean cases reconcile measured counters with " +
+				"the Table 2 analytic model, faulted runs fail only with typed " +
+				"faults, and a total outage ends every run in ErrLinkDown",
 			Check: checkDifferential,
 		},
 		{
@@ -64,7 +64,7 @@ func Oracles() []Oracle {
 			Name: "blockcomp",
 			Doc: "block composition: a block-diagonal embedding of two problems " +
 				"multiplies to the block-diagonal of their products",
-			Applies: func(c Case) bool { return len(verify.Algorithms(2*c.N, c.P)) > 0 },
+			Applies: func(c Case) bool { return len(runnable(2*c.N, c.P)) > 0 },
 			Check:   checkBlockComp,
 		},
 		{
@@ -113,8 +113,8 @@ func OracleByName(name string) (Oracle, bool) {
 	return Oracle{}, false
 }
 
-// tolFor mirrors internal/verify's scale-aware element tolerance:
-// distributed reductions reorder the n-term dot products, so agreement
+// tolFor is the scale-aware element tolerance: distributed reductions
+// reorder the n-term dot products, so agreement with the serial kernel
 // is within rounding, not bitwise.
 func tolFor(A, B *hypermm.Matrix, n int) float64 {
 	return 1e-13 * float64(n) * maxAbs(A) * maxAbs(B)
@@ -130,23 +130,124 @@ func maxAbs(m *hypermm.Matrix) float64 {
 	return mx
 }
 
-// checkDifferential delegates to the differential harness: serial
-// agreement, pairwise cross-algorithm agreement, typed-fault discipline
-// and (clean cases) Table 2 counter reconciliation.
-func checkDifferential(c Case) error {
-	r := verify.Check(verify.Case{
-		N: c.N, P: c.P, Ports: c.Ports, Seed: c.ContentSeed,
-		Ts: c.Ts, Tw: c.Tw, Tc: c.Tc, Plan: c.Plan,
-	})
-	if r.OK {
-		return nil
-	}
-	for _, o := range r.Outcomes {
-		if o.Status == verify.Failed {
-			return fmt.Errorf("%s: %v", o.Alg.Name(), o.Err)
+// runnable returns every algorithm runnable at (n, p), in catalogue
+// order.
+func runnable(n, p int) []hypermm.Algorithm {
+	var out []hypermm.Algorithm
+	for _, alg := range hypermm.Algorithms {
+		if hypermm.Runnable(alg, n, p) {
+			out = append(out, alg)
 		}
 	}
-	return errors.New("verify report not OK with no failed outcome")
+	return out
+}
+
+// checkDifferential runs every runnable algorithm under the case's plan
+// and returns the first violation of: each completed product matches
+// the serial kernel; a clean case neither errors nor misses its Table 2
+// reconciliation; under a plan only typed faults are acceptable, and a
+// total outage must end every run in ErrLinkDown; every pair of
+// completed products agrees.
+func checkDifferential(c Case) error {
+	A, B := c.Operands()
+	want := hypermm.MatMul(A, B)
+	tol := tolFor(A, B, c.N)
+	cfg := c.faultConfig()
+	clean := c.Plan == nil || c.Plan.Empty()
+	outage := c.P >= 2 && c.totalOutage()
+
+	type product struct {
+		alg hypermm.Algorithm
+		C   *hypermm.Matrix
+	}
+	var completed []product
+	for _, alg := range runnable(c.N, c.P) {
+		res, err := runDistributed(alg, cfg, A, B)
+		switch {
+		case err == nil:
+			if outage {
+				return fmt.Errorf("%s: completed under a total outage, want ErrLinkDown", alg.Name())
+			}
+			if d := hypermm.MaxAbsDiff(res.C, want); d > tol {
+				return fmt.Errorf("%s: product off by %g (tol %g)", alg.Name(), d, tol)
+			}
+			if clean {
+				if err := reconcile(alg, c, res); err != nil {
+					return fmt.Errorf("%s: %v", alg.Name(), err)
+				}
+			}
+			completed = append(completed, product{alg, res.C})
+		case clean:
+			return fmt.Errorf("%s: %v", alg.Name(), err)
+		case outage && !errors.Is(err, hypermm.ErrLinkDown):
+			return fmt.Errorf("%s: total outage ended in %v, want ErrLinkDown", alg.Name(), err)
+		case !errors.Is(err, hypermm.ErrLinkDown) && !errors.Is(err, hypermm.ErrDeadline):
+			return fmt.Errorf("%s: untyped failure under a fault plan: %v", alg.Name(), err)
+		}
+	}
+
+	// Every pair of completed products must agree within twice the
+	// serial tolerance (each side may deviate from serial by up to tol
+	// in opposite directions).
+	for i := range completed {
+		for j := i + 1; j < len(completed); j++ {
+			if d := hypermm.MaxAbsDiff(completed[i].C, completed[j].C); d > 2*tol {
+				return fmt.Errorf("%s: differs from %v by %g (tol %g)",
+					completed[i].alg.Name(), completed[j].alg, d, 2*tol)
+			}
+		}
+	}
+	return nil
+}
+
+// Reconciliation slack against the Table 2 rows. On one-port machines
+// the bandwidth term is tight: the emulator pipelines phases the
+// analysis charges sequentially, so measured b stays at or below
+// analytic. Multi-port rows assume M >= log N so every message splits
+// into log N equal slices; with the small blocks sampled here the
+// slices go ragged and measured b can exceed analytic by up to 50%
+// (Simple at n=16, p=64: 2x2 blocks cut 6 ways). The start-up term is
+// looser on both models: HJE's broadcasts are not pipelined, so its
+// measured a exceeds the analytic log-term by a factor growing with p
+// (~2.4x at p=64, ~3.4x at p=256); 4x covers every sampled shape while
+// still catching a phase run twice.
+const (
+	bandSlackOnePort   = 1 + 1e-9
+	bandSlackMultiPort = 1.6
+	startupSlack       = 4.0
+)
+
+// reconcile checks a clean run's communication against the Table 2
+// analytic model (see the slack constants above for what "against"
+// means per coefficient); with no plan active the run must also not
+// have charged a single retry. Stepping stones have no Table 2 row and
+// pass.
+func reconcile(alg hypermm.Algorithm, c Case, res *hypermm.Result) error {
+	if res.Comm.Retries != 0 {
+		return fmt.Errorf("clean run charged %d retries", res.Comm.Retries)
+	}
+	aA, bA, ok := hypermm.Overhead(alg, float64(c.N), float64(c.P), c.Ports)
+	if !ok {
+		return nil
+	}
+	aM, bM, err := hypermm.MeasuredOverhead(alg, c.P, c.N, c.Ports)
+	if err != nil {
+		return fmt.Errorf("measuring overhead: %v", err)
+	}
+	if c.P > 1 && (aM <= 0 || bM <= 0) {
+		return fmt.Errorf("measured overhead (%g, %g) not positive", aM, bM)
+	}
+	bandSlack := bandSlackOnePort
+	if c.Ports == hypermm.MultiPort {
+		bandSlack = bandSlackMultiPort
+	}
+	if bM > bA*bandSlack {
+		return fmt.Errorf("measured bandwidth term %g exceeds analytic %g", bM, bA)
+	}
+	if aM > aA*startupSlack {
+		return fmt.Errorf("measured start-up term %g exceeds analytic %g", aM, aA)
+	}
+	return nil
 }
 
 func checkTranspose(c Case) error {
@@ -154,7 +255,7 @@ func checkTranspose(c Case) error {
 	At, Bt := A.Transpose(), B.Transpose()
 	tol := 2 * tolFor(A, B, c.N)
 	cfg := c.cleanConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range runnable(c.N, c.P) {
 		res, err := runDistributed(alg, cfg, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: A·B: %v", alg.Name(), err)
@@ -176,7 +277,7 @@ func checkScaling(c Case) error {
 	As := scaled(A, s)
 	tol := 2 * (1 + math.Abs(s)) * tolFor(A, B, c.N)
 	cfg := c.cleanConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range runnable(c.N, c.P) {
 		res, err := runDistributed(alg, cfg, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: A·B: %v", alg.Name(), err)
@@ -221,7 +322,7 @@ func checkBlockComp(c Case) error {
 	C2 := hypermm.MatMul(A2, B2)
 	tol := tolFor(DA, DB, 2*n)
 
-	algs := verify.Algorithms(2*n, c.P)
+	algs := runnable(2*n, c.P)
 	if len(algs) > blockCompAlgs {
 		algs = algs[:blockCompAlgs]
 	}
@@ -335,8 +436,8 @@ func toCostAlg(alg hypermm.Algorithm) cost.Alg {
 	panic(fmt.Sprintf("conformance: no cost.Alg for %v", alg))
 }
 
-// Slack factors for the simulated-vs-predicted check, matching what
-// internal/verify established empirically: one-port bandwidth is tight,
+// Slack factors for the simulated-vs-predicted check, matching what the
+// differential oracle's reconciliation established empirically: one-port bandwidth is tight,
 // multi-port slicing can go ragged on small blocks, and HJE's
 // unpipelined broadcasts inflate the start-up term by up to ~4x at the
 // machine sizes sampled here. The compute term gets 2x because the
@@ -355,7 +456,7 @@ func checkSimVsPredicted(c Case) error {
 	A, B := c.Operands()
 	cfg := c.cleanConfig()
 	comp := hypermm.ComputeTime(float64(c.N), float64(c.P), c.Tc)
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range runnable(c.N, c.P) {
 		a, b, ok := hypermm.Overhead(alg, float64(c.N), float64(c.P), c.Ports)
 		if !ok {
 			continue // stepping stones have no Table 2 row
@@ -387,7 +488,7 @@ func checkSimVsPredicted(c Case) error {
 func checkFaultEquiv(c Case) error {
 	A, B := c.Operands()
 	clean, faulty := c.cleanConfig(), c.faultConfig()
-	for _, alg := range verify.Algorithms(c.N, c.P) {
+	for _, alg := range runnable(c.N, c.P) {
 		res0, err := runDistributed(alg, clean, A, B)
 		if err != nil {
 			return fmt.Errorf("%s: clean: %v", alg.Name(), err)
@@ -428,7 +529,7 @@ func checkPoolEquiv(c Case) error {
 	cfg := c.cleanConfig()
 	pool := hypermm.NewMachinePool(1)
 	defer pool.Close()
-	algs := verify.Algorithms(c.N, c.P)
+	algs := runnable(c.N, c.P)
 	if len(algs) > poolEquivAlgs {
 		algs = algs[:poolEquivAlgs]
 	}
@@ -513,7 +614,7 @@ func checkClusterEquiv(c Case) error {
 
 	A, B := c.Operands()
 	cfg := c.cleanConfig()
-	algs := verify.Algorithms(c.N, c.P)
+	algs := runnable(c.N, c.P)
 	if len(algs) > clusterEquivAlgs {
 		algs = algs[:clusterEquivAlgs]
 	}

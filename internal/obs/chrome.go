@@ -7,11 +7,11 @@ import (
 	"sort"
 )
 
-// chromeEvent is one record of the Chrome trace-event format. Spans are
+// ChromeEvent is one record of the Chrome trace-event format. Spans are
 // emitted as complete ("X") events with explicit durations; processes
 // are named with metadata ("M") events, so Perfetto shows one track
 // group per serving process plus one per simulated hypercube node set.
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string         `json:"name,omitempty"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -22,9 +22,19 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+// ChromeFile is the JSON-object flavor of the format that ChromeJSON
+// writes; the wrapper names the display time unit.
+type ChromeFile struct {
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// ParseChromeJSON decodes a ChromeJSON document: the one reader for
+// every Chrome trace this module writes.
+func ParseChromeJSON(data []byte) (ChromeFile, error) {
+	var f ChromeFile
+	err := json.Unmarshal(data, &f)
+	return f, err
 }
 
 // ChromeJSON writes the trace in the Chrome trace-event format
@@ -65,7 +75,7 @@ func (td TraceData) ChromeJSON(w io.Writer) error {
 		return p
 	}
 
-	var evs []chromeEvent
+	var evs []ChromeEvent
 	for _, sd := range spans {
 		label := sd.Process
 		if label == "" {
@@ -78,7 +88,7 @@ func (td TraceData) ChromeJSON(w io.Writer) error {
 		for k, v := range sd.Attrs {
 			args[k] = v
 		}
-		evs = append(evs, chromeEvent{
+		evs = append(evs, ChromeEvent{
 			Name: sd.Name, Cat: "span", Ph: "X",
 			Ts: us(sd.Start), Dur: float64(sd.End-sd.Start) / 1e3,
 			Pid: pidOf(label), Tid: 1, Args: args,
@@ -103,7 +113,7 @@ func (td TraceData) ChromeJSON(w io.Writer) error {
 			}
 			start := float64(sim.Start) + e.Start*scale
 			dur := (e.End - e.Start) * scale
-			evs = append(evs, chromeEvent{
+			evs = append(evs, ChromeEvent{
 				Name: name, Cat: "sim", Ph: "X",
 				Ts: (start - float64(t0)) / 1e3, Dur: dur / 1e3,
 				Pid: pid, Tid: e.Node + 1, Args: args,
@@ -121,9 +131,9 @@ func (td TraceData) ChromeJSON(w io.Writer) error {
 		return evs[i].Ts < evs[j].Ts
 	})
 
-	out := chromeFile{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(evs)+len(labels))}
+	out := ChromeFile{DisplayTimeUnit: "ms", TraceEvents: make([]ChromeEvent, 0, len(evs)+len(labels))}
 	for _, label := range labels {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.TraceEvents = append(out.TraceEvents, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: pids[label],
 			Args: map[string]any{"name": label},
 		})

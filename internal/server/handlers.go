@@ -99,6 +99,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Request body bound for POST /v1/matmul. An operand entry costs at
+// most maxNumberBytes on the wire: Go's shortest float64 form is at
+// most 24 characters ("-1.2345678901234567e-308"), leaving room for a
+// separator and some whitespace. bodySlack covers every other field.
+const (
+	maxNumberBytes = 32
+	bodySlack      = 64 << 10
+)
+
+// maxBody is the largest /v1/matmul body that can carry two inline
+// MaxN x MaxN operands; anything longer is refused before decoding.
+func (c Config) maxBody() int64 {
+	return 2*int64(c.MaxN)*int64(c.MaxN)*maxNumberBytes + bodySlack
+}
+
 // Server wires the planner, scheduler, machine pool and metrics behind
 // an HTTP API.
 type Server struct {
@@ -255,8 +270,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// FaultSpec is the request-level fault plan for chaos-in-prod testing;
-// fields mirror hypermm.FaultPlan.
+// FaultSpec is the request-level fault plan for fault-injection testing
+// in production; fields mirror hypermm.FaultPlan.
 type FaultSpec struct {
 	Seed       uint64  `json:"seed"`
 	Drop       float64 `json:"drop"`
@@ -424,7 +439,14 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req MatmulRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("body exceeds %d bytes (two n=%d operands)", tooBig.Limit, s.cfg.MaxN))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 		return
 	}
@@ -455,7 +477,7 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 	}
 	pstart := time.Now()
 	_, pspan := s.tracer.StartSpan(ctx, "plan")
-	plan, err := s.planner.Plan(preq)
+	plan, err := s.planner.PlanRunnable(preq, req.N, req.P)
 	pspan.Set(obs.Bool("ok", err == nil))
 	pspan.End()
 	s.metrics.StageObserve("plan", time.Since(pstart))

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,6 +84,52 @@ func TestMatmulAutoMatchesBestAlgorithmAndReference(t *testing.T) {
 	}
 }
 
+// TestMatmulAutoRunsRunnableAlgorithm: where the continuous Table-2
+// winner has no grid embedding at the request's integer shape, auto
+// must serve the fastest-predicted candidate that does, and answer 422
+// only when no candidate can run.
+func TestMatmulAutoRunsRunnableAlgorithm(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ n, p int }{{40, 64}, {20, 4}} {
+		best, ok := hypermm.BestAlgorithm(float64(c.n), float64(c.p), 150, 3, hypermm.OnePort)
+		if !ok || hypermm.Runnable(best, c.n, c.p) {
+			t.Fatalf("n=%d p=%d: Table-2 winner %v runnable (%v); the shape no longer exercises the fallback", c.n, c.p, best, ok)
+		}
+		body := fmt.Sprintf(`{"n": %d, "p": %d, "seed": 3, "verify": true, "return_matrix": true}`, c.n, c.p)
+		resp, data := postMatmul(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d p=%d: status %d: %s", c.n, c.p, resp.StatusCode, data)
+		}
+		var mr MatmulResponse
+		if err := json.Unmarshal(data, &mr); err != nil {
+			t.Fatal(err)
+		}
+		alg, err := hypermm.ParseAlgorithm(mr.Algorithm)
+		if err != nil || !mr.Auto || !hypermm.Runnable(alg, c.n, c.p) {
+			t.Errorf("n=%d p=%d: served %q (auto=%v), want a runnable auto choice", c.n, c.p, mr.Algorithm, mr.Auto)
+		}
+		if mr.Verified == nil || !*mr.Verified {
+			t.Errorf("n=%d p=%d: not verified", c.n, c.p)
+		}
+		ref := hypermm.MatMul(hypermm.RandomMatrix(c.n, c.n, 3), hypermm.RandomMatrix(c.n, c.n, 4))
+		if len(mr.C) != c.n*c.n {
+			t.Fatalf("n=%d p=%d: returned matrix has %d values", c.n, c.p, len(mr.C))
+		}
+		if d := hypermm.MaxAbsDiff(&hypermm.Matrix{Rows: c.n, Cols: c.n, Data: mr.C}, ref); d > 1e-8*float64(c.n) {
+			t.Errorf("n=%d p=%d: served product differs from reference by %g", c.n, c.p, d)
+		}
+	}
+
+	// n=10 at p=64: Table-2 applicable, but no candidate's grid divides n.
+	resp, data := postMatmul(t, ts, `{"n": 10, "p": 64}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "runnable") {
+		t.Errorf("unrunnable shape: status %d: %s", resp.StatusCode, data)
+	}
+}
+
 func TestMatmulExplicitAlgorithmAndTrace(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -139,6 +186,30 @@ func TestMatmulValidationAndErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/matmul: status %d", resp.StatusCode)
+	}
+}
+
+// TestMatmulBodyCap: the body is bounded before decoding at what two
+// inline MaxN x MaxN operands can need, so a body at n = MaxN written
+// with the widest float64 text still runs, and a longer one gets 413.
+func TestMatmulBodyCap(t *testing.T) {
+	const maxN = 64
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2, MaxN: maxN})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	operand := strings.TrimSuffix(strings.Repeat("-1.2345678901234567e-30,", maxN*maxN), ",")
+	full := fmt.Sprintf(`{"n": %d, "p": 4, "verify": true, "a": [%s], "b": [%s]}`, maxN, operand, operand)
+	resp, data := postMatmul(t, ts, full)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-byte body at n=MaxN: status %d: %.200s", len(full), resp.StatusCode, data)
+	}
+
+	limit := srv.cfg.maxBody()
+	huge := fmt.Sprintf(`{"n": 8, "p": 4, "pad": "%s"}`, strings.Repeat(" ", int(limit)))
+	resp, data = postMatmul(t, ts, huge)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body over the %d-byte cap: status %d: %s", len(huge), limit, resp.StatusCode, data)
 	}
 }
 
@@ -257,6 +328,8 @@ func TestMetricsEndpointAndAdmissionControl(t *testing.T) {
 	defer ts.Close()
 
 	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
 	entered := make(chan struct{}, 4)
 	srv.sched.onExec = func() {
 		entered <- struct{}{}
@@ -286,7 +359,7 @@ func TestMetricsEndpointAndAdmissionControl(t *testing.T) {
 		t.Fatalf("saturated status = %d, want 429 (%s)", resp.StatusCode, data)
 	}
 
-	close(hold)
+	release()
 	if s1, s2 := <-status, <-status; s1 != 200 || s2 != 200 {
 		t.Fatalf("held requests finished with %d, %d", s1, s2)
 	}
@@ -343,6 +416,8 @@ func TestHealthzAndDrain(t *testing.T) {
 	// Hold one job in flight, then begin the drain: the in-flight job
 	// must complete with 200 while new work is refused with 503.
 	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
 	entered := make(chan struct{}, 1)
 	srv.sched.onExec = func() {
 		entered <- struct{}{}
@@ -378,7 +453,7 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Errorf("matmul while draining = %d, want 503 (%s)", resp.StatusCode, data)
 	}
 
-	close(hold)
+	release()
 	if s := <-inflight; s != http.StatusOK {
 		t.Errorf("in-flight job across drain finished with %d, want 200", s)
 	}

@@ -99,17 +99,8 @@ func TestTracedRunMergesSimTimeline(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v1/trace status %d: %s", code, body)
 	}
-	var chrome struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(body, &chrome); err != nil {
+	chrome, err := obs.ParseChromeJSON(body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if chrome.DisplayTimeUnit != "ms" {

@@ -182,6 +182,35 @@ func (pl *Planner) Plan(req PlanRequest) (*Plan, error) {
 	return plan, nil
 }
 
+// PlanRunnable plans a request that will run at the integer shape
+// (n, p). The Table-2 winner is continuous in (n, p) and may have no
+// grid embedding at the actual shape, so an auto plan whose algorithm
+// is not hypermm.Runnable there falls back to the fastest-predicted
+// candidate that is; ErrInapplicable only when no candidate is runnable.
+// Explicit algorithms are planned as requested.
+func (pl *Planner) PlanRunnable(req PlanRequest, n, p int) (*Plan, error) {
+	plan, err := pl.Plan(req)
+	if err != nil || req.Alg != nil || hypermm.Runnable(plan.Algorithm, n, p) {
+		return plan, err
+	}
+	var best *Plan
+	for _, alg := range hypermm.Candidates(req.Ports) {
+		if !hypermm.Runnable(alg, n, p) {
+			continue
+		}
+		forced := req
+		forced.Alg = &alg
+		if cand, err := pl.Plan(forced); err == nil && (best == nil || cand.PredictedTime < best.PredictedTime) {
+			best = cand
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("%w: no candidate runnable at n=%d p=%d", ErrInapplicable, n, p)
+	}
+	best.Auto = true
+	return best, nil
+}
+
 func clonePlan(p *Plan) *Plan {
 	cp := *p
 	cp.Candidates = append([]Candidate(nil), p.Candidates...)

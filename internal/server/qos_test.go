@@ -175,6 +175,8 @@ func TestQoSDrainUnderLoadAcrossClasses(t *testing.T) {
 	m := NewMetrics()
 	s := qosScheduler(t, 2, 9, c, m)
 	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
 	s.onExec = func() { <-hold }
 
 	var wg sync.WaitGroup
@@ -204,7 +206,7 @@ func TestQoSDrainUnderLoadAcrossClasses(t *testing.T) {
 		t.Fatalf("submit while draining: err = %v, want ErrDraining", err)
 	}
 
-	close(hold)
+	release()
 	if err := <-drained; err != nil {
 		t.Fatalf("drain under cross-class load: %v", err)
 	}
@@ -224,19 +226,24 @@ func TestRetryAfterOnSaturation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // runs before ts.Close, so a failed assertion cannot wedge it
 	entered := make(chan struct{}, 4)
 	srv.sched.onExec = func() { entered <- struct{}{}; <-hold }
 
 	done := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, _ := postMatmul(t, ts, `{"n": 16, "p": 8}`)
-			_ = resp
-			done <- struct{}{}
-		}()
+	post := func() {
+		defer func() { done <- struct{}{} }()
+		resp, err := http.Post(ts.URL+"/v1/matmul", "application/json", strings.NewReader(`{"n": 16, "p": 8}`))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
 	}
-	<-entered // one running...
-	waitFor(t, func() bool { return srv.metrics.QueueDepth() == 1 }) // ...one queued
+	go post()
+	<-entered // the worker holds request 1; only now can request 2 queue
+	go post()
+	waitFor(t, func() bool { return srv.metrics.QueueDepth() == 1 })
 
 	resp, data := postMatmul(t, ts, `{"n": 16, "p": 8}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -245,7 +252,7 @@ func TestRetryAfterOnSaturation(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Fatalf("saturated 429 Retry-After = %q, want a positive whole-second hint", ra)
 	}
-	close(hold)
+	release()
 	<-done
 	<-done
 }

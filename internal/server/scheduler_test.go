@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,6 +65,8 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 	m := NewMetrics()
 	s := NewScheduler(1, 1, nil, m)
 	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
 	entered := make(chan struct{}, 4)
 	s.onExec = func() {
 		entered <- struct{}{}
@@ -110,7 +113,7 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 		t.Fatalf("submit while draining: err = %v, want ErrDraining", err)
 	}
 
-	close(hold) // release the worker
+	release() // release the worker
 	o1, o2 := <-res1, <-res2
 	if o1.err != nil || o2.err != nil {
 		t.Fatalf("admitted jobs failed across drain: %v, %v", o1.err, o2.err)

@@ -85,19 +85,31 @@ func (l *Log) Reset() {
 }
 
 // Events returns a copy of the recorded events sorted by (node, start).
+// Remaining ties are broken on every other field, so the order does not
+// depend on how the node goroutines interleaved their Adds.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	out := make([]Event, len(l.events))
 	copy(out, l.events)
 	l.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
+		a, b := out[i], out[j]
+		switch {
+		case a.Node != b.Node:
+			return a.Node < b.Node
+		case a.Start != b.Start:
+			return a.Start < b.Start
+		case a.End != b.End:
+			return a.End < b.End
+		case a.Kind != b.Kind:
+			return a.Kind < b.Kind
+		case a.Peer != b.Peer:
+			return a.Peer < b.Peer
+		case a.Tag != b.Tag:
+			return a.Tag < b.Tag
+		default:
+			return a.Words < b.Words
 		}
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].End < out[j].End
 	})
 	return out
 }

@@ -2,14 +2,18 @@ package hypermm
 
 import (
 	"io"
+	"math"
 
+	"hypermm/internal/obs"
 	"hypermm/internal/simnet"
 	"hypermm/internal/trace"
 )
 
 // Trace is the recorded event timeline of a traced run.
 type Trace struct {
-	log *trace.Log
+	log     *trace.Log
+	p       int
+	elapsed float64
 }
 
 // RunTraced is Run with event tracing enabled: every send, receive and
@@ -32,7 +36,7 @@ func runTracedOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, *Trac
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, &Trace{log: log}, nil
+	return res, &Trace{log: log, p: m.P(), elapsed: res.Elapsed}, nil
 }
 
 // Gantt renders the timeline as one text row per node, width columns
@@ -49,10 +53,17 @@ func (t *Trace) Summary() string { return t.log.Summary() }
 func (t *Trace) Events() int { return t.log.Len() }
 
 // ChromeJSON writes the timeline in the Chrome trace-event format
-// (loadable in chrome://tracing or Perfetto): one B/E pair per
-// send/receive/compute span, nodes rendered as threads. Simulated time
-// maps to the format's microsecond unit.
-func (t *Trace) ChromeJSON(w io.Writer) error { return t.log.ChromeJSON(w) }
+// (loadable in chrome://tracing or Perfetto) through the same writer as
+// hmmd's merged request traces: one complete ("X") event per
+// send/receive/compute span, nodes as threads of one named "simulated
+// hypercube" process. One simulated time unit is one microsecond, the
+// format's native unit.
+func (t *Trace) ChromeJSON(w io.Writer) error {
+	return obs.TraceData{Sim: &obs.SimTimeline{
+		Events: t.log.Events(), Elapsed: t.elapsed, P: t.p,
+		End: int64(math.Round(t.elapsed * 1e3)), // unit -> µs, in wall nanos
+	}}.ChromeJSON(w)
+}
 
 // TimelineEvents returns a copy of the recorded per-node events sorted
 // by (node, start). The element type lives in hypermm/internal/trace,
