@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzAllToAllShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzReduceScatterShapes -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/collective -run XXX -fuzz FuzzScatterGatherShapes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix -run XXX -fuzz FuzzGridBlockRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
@@ -140,8 +141,9 @@ soak:
 # Performance snapshot: the hot-path benchmark families (local GEMM
 # kernel, emulator throughput, region-map sweeps, packed-kernel micro
 # benches) into BENCH_kernel.json, plus the collective scaling
-# trajectory (broadcast / all-gather / reduce-scatter at p=8 and p=64)
-# into BENCH_collectives.json, plus the steady-state serving trajectory
+# trajectory (broadcast / all-gather / all-to-all / scatter /
+# reduce-scatter at p=8 and p=64, with allocs/op) into
+# BENCH_collectives.json, plus the steady-state serving trajectory
 # (warm machine pool vs cold per-request machines at p=64, HTTP and
 # scheduler-direct, with req/s metrics) into BENCH_serving.json.
 # BENCHTIME=1x gives a cheap CI smoke; the default gives stable numbers.

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -110,5 +112,53 @@ func TestWorkerJoinFailure(t *testing.T) {
 		"-join-wait", "300ms", "-addr", "127.0.0.1:0"},
 		&out, &out, ready); code != 1 {
 		t.Errorf("unjoinable worker exit = %d, want 1", code)
+	}
+}
+
+// TestSigtermDuringJoinDrainsCleanly signals a worker that is still
+// retrying registration against a coordinator that never completes the
+// handshake: the worker must stop joining and exit through the normal
+// drain with code 0, long before its join deadline.
+func TestSigtermDuringJoinDrainsCleanly(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	var out bytes.Buffer
+	var mu sync.Mutex
+	ready := make(chan string, 1)
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run([]string{"-role", "worker", "-join", ln.Addr().String(),
+			"-join-wait", "60s", "-addr", "127.0.0.1:0"},
+			lockedWriter{&mu, &out}, lockedWriter{&mu, &out}, ready)
+	}()
+	select {
+	case <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker did not start")
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exited:
+		mu.Lock()
+		defer mu.Unlock()
+		if code != 0 || !strings.Contains(out.String(), "drained, exiting") {
+			t.Fatalf("exit %d, want a clean drain:\n%s", code, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker kept joining after SIGTERM")
 	}
 }

@@ -224,6 +224,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			"path", *qosPath, "tenants", strings.Join(names, ","), "default", c.Default != nil)
 	}
 
+	// Take over SIGINT/SIGTERM before anything can announce readiness:
+	// a signal that lands between a ready message and this registration
+	// would hit the default action and kill the process undrained.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
 		var err error
@@ -274,30 +280,33 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			}
 			return res, err
 		}
+		// A signal during the join loop abandons joining and goes
+		// straight to the (then trivial) drain below.
 		deadline := time.Now().Add(*joinWait)
-		for {
-			wk, err = cluster.Join(context.Background(), *join, cluster.WorkerConfig{
+		for ctx.Err() == nil {
+			wk, err = cluster.Join(ctx, *join, cluster.WorkerConfig{
 				Name: wname, ExecMeta: exec, MaxN: *maxN, MaxP: *maxP,
 				Log: logger, Tracer: tracer,
 			})
 			if err == nil {
+				go func() { workerErr <- wk.Serve(context.Background()) }()
 				break
 			}
-			if time.Now().After(deadline) {
+			if ctx.Err() == nil && time.Now().After(deadline) {
 				fmt.Fprintln(stderr, "hmmd:", err)
 				return 1
 			}
-			time.Sleep(100 * time.Millisecond)
+			select {
+			case <-ctx.Done():
+			case <-time.After(100 * time.Millisecond):
+			}
 		}
-		go func() { workerErr <- wk.Serve(context.Background()) }()
 	}
 
 	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fmt.Fprintln(stderr, "hmmd:", err)

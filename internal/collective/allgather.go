@@ -1,8 +1,6 @@
 package collective
 
 import (
-	"fmt"
-
 	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
 )
@@ -12,94 +10,57 @@ import (
 //
 // One-port: recursive doubling, t_s log q + t_w (q-1)M (Table 1).
 // Multi-port: d rotated slices, t_s log q + t_w (q-1)M / log q.
-type AllGatherOp struct {
-	c          Comm
-	phase      uint64
-	rows, cols int
-	w          int
-	held       []map[int][]float64 // per slice: absolute rank -> slice words
-}
+//
+// Slice l keeps rank r's piece in slot rot(r, l): before step s the
+// node holds the aligned run of 2^s slots around its own, sends it
+// whole and receives the partner's run next to it.
+type AllGatherOp struct{ slotOp }
 
 // NewAllGather prepares an all-gather of blk.
 func (c Comm) NewAllGather(phase uint64, blk *matrix.Dense) *AllGatherOp {
-	op := &AllGatherOp{
-		c: c, phase: phase,
-		rows: blk.Rows, cols: blk.Cols, w: blk.Rows * blk.Cols,
-	}
-	op.held = make([]map[int][]float64, c.g)
-	for l := range op.held {
+	op := &AllGatherOp{c.newSlotOp(phase, blk.Rows, blk.Cols, c.q*blk.Rows*blk.Cols)}
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		op.held[l] = map[int][]float64{c.rank: blk.Data[lo:hi]}
+		copy(op.slots(c.q*lo, hi-lo, c.rot(c.rank, l), 1), blk.Data[lo:hi])
 	}
 	return op
 }
 
-// Steps implements Op.
-func (op *AllGatherOp) Steps() int { return op.c.d }
+// run returns slice l's run of 2^s slots held before step s, or with
+// partner set the run the partner holds.
+func (op *AllGatherOp) run(s, l, lo, hi int, partner bool) []float64 {
+	k := op.c.rot(op.c.rank, l) &^ (1<<s - 1)
+	if partner {
+		k ^= 1 << s
+	}
+	return op.slots(op.c.q*lo, hi-lo, k, 1<<s)
+}
 
 // SendStep implements Op.
 func (op *AllGatherOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			op.send(s, l, op.run(s, l, lo, hi, false))
 		}
-		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for r := range op.held[l] {
-			keys = append(keys, r)
-		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, r := range keys {
-			buf = append(buf, op.held[l][r]...)
-		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
-		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
 
 // RecvStep implements Op.
 func (op *AllGatherOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
-		}
-		b := op.c.bit(l, s)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(op.c.rank^(1<<b), op.c.pastBits(l, s))
-		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: AllGather slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
-		}
-		for i, r := range incoming {
-			op.held[l][r] = msg.Data[i*sz : (i+1)*sz]
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			op.recv("AllGather", s, l, op.run(s, l, lo, hi, true), false)
 		}
 	}
 }
 
 // Result returns all q blocks indexed by chain position (valid after
-// Run). The blocks are carved from one batch allocation.
+// Run).
 func (op *AllGatherOp) Result() []*matrix.Dense {
-	out := matrix.NewBatch(op.c.q, op.rows, op.cols)
-	for pos, blk := range out {
-		r := hypercube.Gray(pos)
-		for l := 0; l < op.c.g; l++ {
-			lo, hi := sliceBounds(op.w, op.c.g, l)
-			if lo == hi {
-				continue
-			}
-			piece, ok := op.held[l][r]
-			if !ok {
-				panic(fmt.Sprintf("collective: AllGather missing piece pos=%d slice=%d", pos, l))
-			}
-			copy(blk.Data[lo:hi], piece)
-		}
-	}
-	return out
+	return op.pieces(op.c.q, func(pos, l, lo, sz int) int {
+		return op.c.q*lo + op.c.rot(hypercube.Gray(pos), l)*sz
+	})
 }
 
 // AllGather runs an all-to-all broadcast and returns the q blocks

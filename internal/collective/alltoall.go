@@ -16,16 +16,15 @@ import (
 // disagrees with it on bit b. Each step carries q/2 pieces, so the
 // one-port cost is t_s log q + t_w q M log q / 2 (Table 1); the
 // multi-port sliced variant divides the t_w term by log q.
+//
+// Slice l keeps q slots indexed in rot order. Before step s, slot bits
+// below s are the piece's origin bits and bits at or above s its
+// destination bits. Step s swaps, in place, the slots whose bit s
+// differs from the node's own: the pieces leaving have destination
+// bit s unlike ours, the ones arriving have origin bit s unlike ours.
 type AllToAllOp struct {
-	c          Comm
-	phase      uint64
-	rows, cols int
-	w          int
-	held       []map[pieceKey][]float64
-}
-
-type pieceKey struct {
-	origin, dest int // absolute chain ranks
+	slotOp
+	stage []float64 // one step's outgoing or incoming half, packed
 }
 
 // NewAllToAll prepares an all-to-all personalized exchange; blocks are
@@ -35,112 +34,62 @@ func (c Comm) NewAllToAll(phase uint64, blocks []*matrix.Dense) *AllToAllOp {
 		panic(fmt.Sprintf("collective: AllToAll has %d blocks want %d", len(blocks), c.q))
 	}
 	rows, cols := checkUniform("AllToAll", blocks)
-	op := &AllToAllOp{c: c, phase: phase, rows: rows, cols: cols, w: rows * cols}
-	op.held = make([]map[pieceKey][]float64, c.g)
-	for l := range op.held {
-		op.held[l] = make(map[pieceKey][]float64, c.q)
-		lo, hi := sliceBounds(op.w, c.g, l)
+	// The staging half rides at the end of the slot buffer.
+	w, half := rows*cols, c.q/2*((rows*cols+c.g-1)/c.g)
+	op := &AllToAllOp{slotOp: c.newSlotOp(phase, rows, cols, c.q*w+half)}
+	op.buf, op.stage = op.buf[:c.q*w], op.buf[c.q*w:]
+	for l := 0; l < c.g; l++ {
+		lo, hi := sliceBounds(w, c.g, l)
 		for pos, b := range blocks {
-			op.held[l][pieceKey{c.rank, hypercube.Gray(pos)}] = b.Data[lo:hi]
+			copy(op.slots(c.q*lo, hi-lo, c.rot(hypercube.Gray(pos), l), 1), b.Data[lo:hi])
 		}
 	}
 	return op
 }
 
-// Steps implements Op.
-func (op *AllToAllOp) Steps() int { return op.c.d }
+// swap packs slice l's slots whose bit s differs from the node's own
+// into the staging buffer (out) or unpacks the staging buffer back into
+// them (!out), in slot order, and returns the packed words.
+func (op *AllToAllOp) swap(s, l, lo, hi int, out bool) []float64 {
+	sz, m, n := hi-lo, 1<<s, 0
+	for k := op.c.rot(op.c.rank, l)&m ^ m; k < op.c.q; k += 2 * m {
+		run := op.slots(op.c.q*lo, sz, k, m)
+		if out {
+			copy(op.stage[n:], run)
+		} else {
+			copy(run, op.stage[n:])
+		}
+		n += len(run)
+	}
+	return op.stage[:n]
+}
 
 // SendStep implements Op.
 func (op *AllToAllOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			op.send(s, l, op.swap(s, l, lo, hi, true))
 		}
-		b := op.c.bit(l, s)
-		myBit := op.c.rank & (1 << b)
-		keys := make([]pieceKey, 0, len(op.held[l])/2)
-		for k := range op.held[l] {
-			if k.dest&(1<<b) != myBit {
-				keys = append(keys, k)
-			}
-		}
-		sortKeys(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, k := range keys {
-			buf = append(buf, op.held[l][k]...)
-			delete(op.held[l], k)
-		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
-		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
 
 // RecvStep implements Op.
 func (op *AllToAllOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			op.recv("AllToAll", s, l, op.stage[:op.c.q/2*(hi-lo)], false)
+			op.swap(s, l, lo, hi, false)
 		}
-		b := op.c.bit(l, s)
-		partnerRank := op.c.rank ^ (1 << b)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		// Incoming pieces: destinations agree with us on the processed
-		// bits and on bit b; origins agree with the partner off the
-		// processed bits. Both sides enumerate in (dest, origin) order.
-		dests := subsets(op.c.rank, op.c.futureBits(l, s))
-		origins := subsets(partnerRank, op.c.pastBits(l, s))
-		sz := hi - lo
-		if len(msg.Data) != len(dests)*len(origins)*sz {
-			panic(fmt.Sprintf("collective: AllToAll slice %d got %d words want %d", l, len(msg.Data), len(dests)*len(origins)*sz))
-		}
-		i := 0
-		for _, x := range dests {
-			for _, o := range origins {
-				op.held[l][pieceKey{o, x}] = msg.Data[i*sz : (i+1)*sz]
-				i++
-			}
-		}
-	}
-}
-
-// sortKeys orders piece keys by (dest, origin) ascending, matching the
-// receiver's enumeration order.
-func sortKeys(a []pieceKey) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && (a[j].dest > v.dest || (a[j].dest == v.dest && a[j].origin > v.origin)) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }
 
 // Result returns the blocks addressed to this node, indexed by origin
-// position (valid after Run). The blocks are carved from one batch
-// allocation.
+// position (valid after Run).
 func (op *AllToAllOp) Result() []*matrix.Dense {
-	out := matrix.NewBatch(op.c.q, op.rows, op.cols)
-	for pos, blk := range out {
-		o := hypercube.Gray(pos)
-		for l := 0; l < op.c.g; l++ {
-			lo, hi := sliceBounds(op.w, op.c.g, l)
-			if lo == hi {
-				continue
-			}
-			piece, ok := op.held[l][pieceKey{o, op.c.rank}]
-			if !ok {
-				panic(fmt.Sprintf("collective: AllToAll missing piece origin=%d slice=%d", pos, l))
-			}
-			copy(blk.Data[lo:hi], piece)
-		}
-	}
-	return out
+	return op.pieces(op.c.q, func(pos, l, lo, sz int) int {
+		return op.c.q*lo + op.c.rot(hypercube.Gray(pos), l)*sz
+	})
 }
 
 // AllToAll runs an all-to-all personalized exchange: blocks indexed by

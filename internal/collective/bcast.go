@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
@@ -16,93 +17,54 @@ import (
 // dimension order rotated by l, so every step moves all slices on
 // distinct ports: t_s log q + t_w M.
 type BcastOp struct {
-	c          Comm
-	phase      uint64
-	rel        int // rank relative to the root
-	rows, cols int
-	w          int
-	data       []float64
-	recvStep   []int // per slice: step at which this node receives (-1 if root)
+	slotOp     // one slot: the broadcast block
+	rel    int // rank relative to the root
 }
 
 // NewBcast prepares a broadcast. Every participant must pass the block
 // shape (rows, cols); only the root passes blk (others nil).
 func (c Comm) NewBcast(phase uint64, rootPos, rows, cols int, blk *matrix.Dense) *BcastOp {
-	rootRank := hypercube.Gray(rootPos)
-	op := &BcastOp{
-		c: c, phase: phase, rel: c.rank ^ rootRank,
-		rows: rows, cols: cols, w: rows * cols,
+	op := &BcastOp{rel: c.rank ^ hypercube.Gray(rootPos)}
+	if op.rel != 0 {
+		op.slotOp = c.newSlotOp(phase, rows, cols, rows*cols)
+		return op
 	}
-	if op.rel == 0 {
-		if blk == nil || blk.Rows != rows || blk.Cols != cols {
-			panic(fmt.Sprintf("collective: Bcast root block mismatch (want %dx%d)", rows, cols))
-		}
-		op.data = blk.Data
-	} else {
-		op.data = make([]float64, op.w)
+	if blk == nil || blk.Rows != rows || blk.Cols != cols {
+		panic(fmt.Sprintf("collective: Bcast root block mismatch (want %dx%d)", rows, cols))
 	}
-	op.recvStep = make([]int, op.c.g)
-	for l := range op.recvStep {
-		op.recvStep[l] = op.relRecvStep(l)
-	}
+	op.slotOp = c.newSlotOp(phase, rows, cols, 0)
+	op.buf = blk.Data // the root sends straight from its block
 	return op
 }
 
-// relRecvStep returns the step at which this node first holds slice l:
-// the largest order-position among the set bits of rel (-1 for the root).
-func (op *BcastOp) relRecvStep(l int) int {
-	if op.rel == 0 {
-		return -1
-	}
-	step := -1
-	for b := 0; b < op.c.d; b++ {
-		if op.rel&(1<<b) != 0 {
-			// position of chain bit b in slice l's rotated order
-			s := (b - l + op.c.d) % op.c.d
-			if s > step {
-				step = s
-			}
-		}
-	}
-	return step
+// recvStep returns the step at which this node first holds slice l:
+// the highest set bit of rot(rel, l) (-1 for the root).
+func (op *BcastOp) recvStep(l int) int {
+	return bits.Len(uint(op.c.rot(op.rel, l))) - 1
 }
-
-// Steps implements Op.
-func (op *BcastOp) Steps() int { return op.c.d }
 
 // SendStep implements Op.
 func (op *BcastOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] >= s {
-			continue // nothing to send, or not yet a holder
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.recvStep(l) < s {
+			op.send(s, l, op.buf[lo:hi])
 		}
-		b := op.c.bit(l, s)
-		op.c.N.Send(op.c.partner(b), tag(op.phase, s, l), op.data[lo:hi])
 	}
 }
 
 // RecvStep implements Op.
 func (op *BcastOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] != s {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.recvStep(l) == s {
+			op.recv("Bcast", s, l, op.buf[lo:hi], false)
 		}
-		b := op.c.bit(l, s)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		if len(msg.Data) != hi-lo {
-			panic(fmt.Sprintf("collective: Bcast slice %d got %d words want %d", l, len(msg.Data), hi-lo))
-		}
-		copy(op.data[lo:hi], msg.Data)
-		msg.Release() // payload fully copied into the local block
 	}
 }
 
 // Result returns the broadcast block (valid after Run).
 func (op *BcastOp) Result() *matrix.Dense {
-	return matrix.FromSlice(op.rows, op.cols, op.data)
+	return matrix.FromSlice(op.rows, op.cols, op.buf)
 }
 
 // Bcast runs a one-to-all broadcast and returns the block on every node.

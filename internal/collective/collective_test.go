@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"fmt"
 	"testing"
 
 	"hypermm/internal/hypercube"
@@ -382,17 +381,6 @@ func TestCommAccessors(t *testing.T) {
 			t.Errorf("rank/pos inconsistent")
 		}
 	})
-}
-
-func TestSubsetsSorted(t *testing.T) {
-	got := subsets(0b100, []int{0, 1})
-	want := []int{0b100, 0b101, 0b110, 0b111}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("subsets = %v, want %v", got, want)
-	}
-	if len(subsets(5, nil)) != 1 {
-		t.Error("subsets with no bits should be singleton")
-	}
 }
 
 func max(a, b int) int {

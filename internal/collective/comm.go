@@ -23,11 +23,15 @@
 // two broadcasts can occur in parallel".
 //
 // Blocks are indexed by grid *position* (Gray-embedded); internally all
-// schedules run in subcube rank space.
+// schedules run in subcube rank space. Each op keeps the pieces it holds
+// in one flat, node-owned slot buffer (slotOp), indexed so that every
+// step sends and receives aligned runs of slots; receivers copy or fold
+// each payload into it and hand the message back to the transport.
 package collective
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hypermm/internal/hypercube"
 	"hypermm/internal/matrix"
@@ -101,31 +105,106 @@ func sliceBounds(w, g, l int) (lo, hi int) {
 	return l * w / g, (l + 1) * w / g
 }
 
-// subsets returns, in ascending order, every rank of the form
-// base XOR (subset of the given chain bits).
-func subsets(base int, bits []int) []int {
-	out := make([]int, 0, 1<<len(bits))
-	out = append(out, base)
-	for _, b := range bits {
-		for _, r := range out[:len(out):len(out)] {
-			out = append(out, r^(1<<b))
-		}
-	}
-	sortInts(out)
-	return out
+// rot rotates x's d chain bits right by l, so slice l's step-t bit
+// c.bit(l, t) lands on bit t. AllGather, Gather and AllToAll keep the
+// piece of chain rank r in slice l's slot rot(r, l): at step s an
+// all-gather or gather moves one aligned run of 2^s slots.
+func (c Comm) rot(x, l int) int {
+	return (x>>l | x<<(c.d-l)) & (c.q - 1)
 }
 
-func sortInts(a []int) {
-	// insertion sort: these slices are short (<= chain length).
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
+// rev is rot with the d bits reversed, so slice l's step-t bit lands on
+// bit d-1-t. Scatter and ReduceScatter, which halve what they hold at
+// every step, keep the piece for rank r in slice l's slot rev(r, l):
+// at step s they move one aligned run of 2^(d-1-s) slots.
+func (c Comm) rev(x, l int) int {
+	return int(bits.Reverse(uint(c.rot(x, l))) >> (bits.UintSize - c.d))
+}
+
+// low returns the position of the lowest set bit of a slot index (d
+// for 0). A binomial gather or reduction sends slice l at step
+// low(rot(rel, l)); a scatter receives it at step
+// d-1-low(rev(rel, l)). Either way the node only ever holds the
+// 1<<low slots starting at its own.
+func (c Comm) low(x int) int {
+	if x == 0 {
+		return c.d
 	}
+	return bits.TrailingZeros(uint(x))
+}
+
+// slotOp is the state every collective keeps: one flat, node-owned
+// buffer of pieces. Slice l keeps its pieces of hi-lo words in
+// consecutive slots; in the full layout slot k of slice l starts at
+// word q*lo + k*(hi-lo).
+type slotOp struct {
+	c          Comm
+	phase      uint64
+	rows, cols int
+	w          int
+	buf        []float64
+}
+
+func (c Comm) newSlotOp(phase uint64, rows, cols, words int) slotOp {
+	return slotOp{c: c, phase: phase, rows: rows, cols: cols, w: rows * cols, buf: make([]float64, words)}
+}
+
+// Steps implements Op.
+func (op *slotOp) Steps() int { return op.c.d }
+
+// send ships a copy of data to the partner across slice l's step-s
+// bit as the step-s message of slice l.
+func (op *slotOp) send(s, l int, data []float64) {
+	op.c.N.Send(op.c.partner(op.c.bit(l, s)), tag(op.phase, s, l), data)
+}
+
+// recv receives slice l's step-s message from the partner across its
+// step-s bit, checks that it carries len(dst) words, copies it into dst
+// (or, with add, folds it into dst element by element) and returns the
+// payload to the transport's pool.
+func (op *slotOp) recv(name string, s, l int, dst []float64, add bool) {
+	msg := op.c.N.Recv(op.c.partner(op.c.bit(l, s)), tag(op.phase, s, l))
+	if len(msg.Data) != len(dst) {
+		panic(fmt.Sprintf("collective: %s slice %d got %d words want %d", name, l, len(msg.Data), len(dst)))
+	}
+	if add {
+		for i, v := range msg.Data {
+			dst[i] += v
+		}
+	} else {
+		copy(dst, msg.Data)
+	}
+	msg.Release()
+}
+
+// slots returns n slots of sz words starting at slot k of the slice
+// whose slot 0 is at word off.
+func (op *slotOp) slots(off, sz, k, n int) []float64 {
+	return op.buf[off+k*sz : off+(k+n)*sz]
+}
+
+// pieces returns n result blocks; block i's slice l starts at word
+// at(i, l, lo, hi-lo). Unsliced (one-port) blocks are views into the
+// node-owned buffer; sliced ones are assembled into one fresh batch.
+func (op *slotOp) pieces(n int, at func(i, l, lo, sz int) int) []*matrix.Dense {
+	if op.c.g == 1 {
+		ds := make([]matrix.Dense, n)
+		out := make([]*matrix.Dense, n)
+		for i := range out {
+			k := at(i, 0, 0, op.w)
+			ds[i] = matrix.Dense{Rows: op.rows, Cols: op.cols, Data: op.buf[k : k+op.w : k+op.w]}
+			out[i] = &ds[i]
+		}
+		return out
+	}
+	out := matrix.NewBatch(n, op.rows, op.cols)
+	for i, blk := range out {
+		for l := 0; l < op.c.g; l++ {
+			lo, hi := sliceBounds(op.w, op.c.g, l)
+			copy(blk.Data[lo:hi], op.buf[at(i, l, lo, hi-lo):])
+		}
+	}
+	return out
 }
 
 // Op is a collective compiled to a lockstep step machine. At each step

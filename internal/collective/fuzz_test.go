@@ -11,7 +11,8 @@ import (
 // and chain lengths on both port models: whatever the block geometry,
 // every node must end with exactly the blocks the pattern promises.
 // Multi-port slicing is the interesting surface — blocks with fewer
-// words than log q force empty slices at some steps.
+// words than log q leave some slices empty (lo == hi) on every step, so
+// each target carries a multi-port seed of that shape.
 
 func fuzzPorts(b uint8) simnet.PortModel {
 	if b%2 == 0 {
@@ -22,7 +23,8 @@ func fuzzPorts(b uint8) simnet.PortModel {
 
 func FuzzAllGatherShapes(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(3), uint8(1), int64(7))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(0), int64(1)) // 1x1 blocks on q=8: slices go empty
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(1), int64(1)) // 1x1 blocks, multi-port q=8: empty slices
 	f.Fuzz(func(t *testing.T, dB, rB, cB, pmB uint8, seed int64) {
 		q := 1 << (int(dB) % 4)
 		rows, cols := 1+int(rB)%5, 1+int(cB)%7
@@ -46,6 +48,7 @@ func FuzzAllGatherShapes(f *testing.F) {
 
 func FuzzAllToAllShapes(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(4), uint8(1), int64(11))
+	f.Add(uint8(3), uint8(0), uint8(1), uint8(1), int64(4)) // 1x2 blocks, multi-port q=8: empty slices
 	f.Fuzz(func(t *testing.T, dB, rB, cB, pmB uint8, seed int64) {
 		q := 1 << (int(dB) % 4)
 		rows, cols := 1+int(rB)%4, 1+int(cB)%6
@@ -74,6 +77,7 @@ func FuzzAllToAllShapes(f *testing.F) {
 
 func FuzzReduceShapes(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), uint8(0), uint8(1), int64(5))
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(5), uint8(1), int64(2)) // 1x1 blocks, multi-port q=8: empty slices
 	f.Fuzz(func(t *testing.T, dB, rB, cB, rootB, pmB uint8, seed int64) {
 		q := 1 << (1 + int(dB)%3)
 		rows, cols := 1+int(rB)%4, 1+int(cB)%5
@@ -100,6 +104,7 @@ func FuzzReduceShapes(f *testing.F) {
 
 func FuzzReduceScatterShapes(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(1), int64(9))
+	f.Add(uint8(2), uint8(0), uint8(1), uint8(1), int64(6)) // 1x2 blocks, multi-port q=8: empty slices
 	f.Fuzz(func(t *testing.T, dB, rB, cB, pmB uint8, seed int64) {
 		q := 1 << (1 + int(dB)%3)
 		rows, cols := 1+int(rB)%4, 1+int(cB)%5
@@ -122,6 +127,44 @@ func FuzzReduceScatterShapes(f *testing.F) {
 			}
 			if matrix.MaxAbsDiff(got, want) > 1e-9 {
 				t.Errorf("pos %d: reduce-scatter slot wrong", c.Pos())
+			}
+		})
+	})
+}
+
+func FuzzScatterGatherShapes(f *testing.F) {
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(1), uint8(0), int64(3))
+	f.Add(uint8(4), uint8(0), uint8(2), uint8(5), uint8(1), int64(7)) // 1x3 blocks, multi-port q=16: empty slices
+	f.Fuzz(func(t *testing.T, dB, rB, cB, rootB, pmB uint8, seed int64) {
+		q := 1 << (int(dB) % 5)
+		rows, cols := 1+int(rB)%4, 1+int(cB)%5
+		root := int(rootB) % q
+		blockFor := func(pos int) *matrix.Dense { return matrix.Random(rows, cols, seed+int64(pos)) }
+		m := newMach(q, fuzzPorts(pmB), 1, 1)
+		ch := chainOf(q)
+		m.Run(func(n *simnet.Node) {
+			c := On(n, ch)
+			var blocks []*matrix.Dense
+			if c.Pos() == root {
+				for pos := 0; pos < q; pos++ {
+					blocks = append(blocks, blockFor(pos))
+				}
+			}
+			mine := c.Scatter(1, root, rows, cols, blocks)
+			if !matrix.Equal(mine, blockFor(c.Pos())) {
+				t.Errorf("pos %d: scattered block corrupted", c.Pos())
+			}
+			back := c.Gather(2, root, mine)
+			if c.Pos() != root {
+				if back != nil {
+					t.Errorf("pos %d: non-root received a gather result", c.Pos())
+				}
+				return
+			}
+			for pos := range back {
+				if !matrix.Equal(back[pos], blockFor(pos)) {
+					t.Errorf("root %d: gathered block %d corrupted", root, pos)
+				}
 			}
 		})
 	})

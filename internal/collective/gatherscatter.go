@@ -12,28 +12,24 @@ import (
 //
 // One-port: binomial halving, t_s log q + t_w (q-1)M (Table 1).
 // Multi-port: d rotated slices, t_s log q + t_w (q-1)M / log q.
+//
+// Slice l keeps the piece for relative rank x in slot rev(x, l),
+// counted from the node's own slot rev(rel, l): a node receives the
+// aligned run of 1<<low(rev(rel, l)) slots starting at its own, then
+// sends the upper half of what it holds at every later step.
 type ScatterOp struct {
-	c          Comm
-	phase      uint64
-	rel        int
-	rows, cols int
-	w          int
-	held       []map[int][]float64 // per slice: relative dest rank -> slice words
-	recvStep   []int
+	slotOp
+	rel int
+	off []int // per slice: word offset of the node's own slot
 }
 
 // NewScatter prepares a scatter. Every participant passes the piece
 // shape; only the root passes blocks (indexed by position, length q).
 func (c Comm) NewScatter(phase uint64, rootPos, rows, cols int, blocks []*matrix.Dense) *ScatterOp {
 	rootRank := hypercube.Gray(rootPos)
-	op := &ScatterOp{
-		c: c, phase: phase, rel: c.rank ^ rootRank,
-		rows: rows, cols: cols, w: rows * cols,
-	}
-	op.held = make([]map[int][]float64, c.g)
-	for l := range op.held {
-		op.held[l] = make(map[int][]float64)
-	}
+	op := &ScatterOp{rel: c.rank ^ rootRank}
+	op.off = c.offsets(rows*cols, func(l int) int { return c.rev(op.rel, l) })
+	op.slotOp = c.newSlotOp(phase, rows, cols, op.off[c.g])
 	if op.rel == 0 {
 		if len(blocks) != c.q {
 			panic(fmt.Sprintf("collective: Scatter root has %d blocks want %d", len(blocks), c.q))
@@ -42,133 +38,52 @@ func (c Comm) NewScatter(phase uint64, rootPos, rows, cols int, blocks []*matrix
 			if b.Rows != rows || b.Cols != cols {
 				panic(fmt.Sprintf("collective: Scatter block %d is %dx%d want %dx%d", pos, b.Rows, b.Cols, rows, cols))
 			}
-			xrel := hypercube.Gray(pos) ^ rootRank
 			for l := 0; l < c.g; l++ {
 				lo, hi := sliceBounds(op.w, c.g, l)
-				op.held[l][xrel] = b.Data[lo:hi]
+				copy(op.slots(op.off[l], hi-lo, c.rev(hypercube.Gray(pos)^rootRank, l), 1), b.Data[lo:hi])
 			}
 		}
-	}
-	op.recvStep = make([]int, c.g)
-	for l := range op.recvStep {
-		op.recvStep[l] = relStepMax(op.rel, l, c.d)
 	}
 	return op
 }
 
-// relStepMax returns the largest rotated-order position among the set
-// bits of rel (-1 if rel == 0): the step at which a binomial broadcast
-// or scatter first reaches this node for slice l.
-func relStepMax(rel, l, d int) int {
-	step := -1
-	for b := 0; b < d; b++ {
-		if rel&(1<<b) != 0 {
-			if s := (b - l + d) % d; s > step {
-				step = s
-			}
-		}
+// offsets lays out a binomial scatter's or gather's slot buffer: slice
+// l holds the 1<<low(own(l)) slots starting at its own slot own(l).
+// It returns each slice's word offset, plus the total as a last entry.
+func (c Comm) offsets(w int, own func(l int) int) []int {
+	off := make([]int, c.g+1)
+	for l := 0; l < c.g; l++ {
+		lo, hi := sliceBounds(w, c.g, l)
+		off[l+1] = off[l] + (hi-lo)<<c.low(own(l))
 	}
-	return step
+	return off
 }
-
-// relStepMin returns the smallest rotated-order position among the set
-// bits of rel (d if rel == 0): the step at which a binomial gather or
-// reduction sends from this node for slice l.
-func relStepMin(rel, l, d int) int {
-	step := d
-	for b := 0; b < d; b++ {
-		if rel&(1<<b) != 0 {
-			if s := (b - l + d) % d; s < step {
-				step = s
-			}
-		}
-	}
-	return step
-}
-
-// futureBits returns the chain bits slice l uses at steps s+1 .. d-1.
-func (c Comm) futureBits(l, s int) []int {
-	bits := make([]int, 0, c.d-s-1)
-	for t := s + 1; t < c.d; t++ {
-		bits = append(bits, c.bit(l, t))
-	}
-	return bits
-}
-
-// pastBits returns the chain bits slice l used at steps 0 .. s-1.
-func (c Comm) pastBits(l, s int) []int {
-	bits := make([]int, 0, s)
-	for t := 0; t < s; t++ {
-		bits = append(bits, c.bit(l, t))
-	}
-	return bits
-}
-
-// Steps implements Op.
-func (op *ScatterOp) Steps() int { return op.c.d }
 
 // SendStep implements Op.
 func (op *ScatterOp) SendStep(s int) {
 	op.c.check()
+	h := 1 << (op.c.d - 1 - s)
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] >= s {
-			continue
+		// A holder (received before step s) sends its upper half.
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && 1<<op.c.low(op.c.rev(op.rel, l)) > h {
+			op.send(s, l, op.slots(op.off[l], hi-lo, h, h))
 		}
-		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for x := range op.held[l] {
-			if x&(1<<b) != 0 {
-				keys = append(keys, x)
-			}
-		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, x := range keys {
-			buf = append(buf, op.held[l][x]...)
-			delete(op.held[l], x)
-		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
-		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
 
 // RecvStep implements Op.
 func (op *ScatterOp) RecvStep(s int) {
+	h := 1 << (op.c.d - 1 - s)
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.recvStep[l] != s {
-			continue
-		}
-		b := op.c.bit(l, s)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(op.rel, op.c.futureBits(l, s))
-		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: Scatter slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
-		}
-		for i, x := range incoming {
-			op.held[l][x] = msg.Data[i*sz : (i+1)*sz]
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && 1<<op.c.low(op.c.rev(op.rel, l)) == h {
+			op.recv("Scatter", s, l, op.slots(op.off[l], hi-lo, 0, h), false)
 		}
 	}
 }
 
 // Result returns the node's own piece (valid after Run).
 func (op *ScatterOp) Result() *matrix.Dense {
-	out := matrix.New(op.rows, op.cols)
-	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
-		}
-		piece, ok := op.held[l][op.rel]
-		if !ok {
-			panic(fmt.Sprintf("collective: Scatter missing own slice %d", l))
-		}
-		copy(out.Data[lo:hi], piece)
-	}
-	return out
+	return op.pieces(1, func(_, l, _, _ int) int { return op.off[l] })[0]
 }
 
 // Scatter runs a one-to-all personalized broadcast; blocks (root only)
@@ -184,79 +99,45 @@ func (c Comm) Scatter(phase uint64, rootPos, rows, cols int, blocks []*matrix.De
 
 // GatherOp is the inverse of scatter: every node contributes one block
 // and the root ends with all q blocks. Cost mirrors ScatterOp.
+//
+// Slice l keeps the piece of relative rank x in slot rot(x, l), counted
+// from the node's own slot rot(rel, l): before step s a node holds the
+// 2^s slots starting at its own and receives the next 2^s, until step
+// low(rot(rel, l)), at which it sends all it holds.
 type GatherOp struct {
-	c          Comm
-	phase      uint64
-	rel        int
-	rootRank   int
-	rows, cols int
-	w          int
-	held       []map[int][]float64 // per slice: relative origin rank -> slice words
-	sendStep   []int
+	slotOp
+	rel, rootRank int
+	off           []int // per slice: word offset of the node's own slot
 }
 
 // NewGather prepares a gather of blk toward rootPos.
 func (c Comm) NewGather(phase uint64, rootPos int, blk *matrix.Dense) *GatherOp {
 	rootRank := hypercube.Gray(rootPos)
-	op := &GatherOp{
-		c: c, phase: phase, rel: c.rank ^ rootRank, rootRank: rootRank,
-		rows: blk.Rows, cols: blk.Cols, w: blk.Rows * blk.Cols,
-	}
-	op.held = make([]map[int][]float64, c.g)
-	op.sendStep = make([]int, c.g)
-	for l := range op.held {
+	op := &GatherOp{rel: c.rank ^ rootRank, rootRank: rootRank}
+	op.off = c.offsets(blk.Rows*blk.Cols, func(l int) int { return c.rot(op.rel, l) })
+	op.slotOp = c.newSlotOp(phase, blk.Rows, blk.Cols, op.off[c.g])
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		op.held[l] = map[int][]float64{op.rel: blk.Data[lo:hi]}
-		op.sendStep[l] = relStepMin(op.rel, l, c.d)
+		copy(op.buf[op.off[l]:], blk.Data[lo:hi])
 	}
 	return op
 }
-
-// Steps implements Op.
-func (op *GatherOp) Steps() int { return op.c.d }
 
 // SendStep implements Op.
 func (op *GatherOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] != s {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.c.low(op.c.rot(op.rel, l)) == s {
+			op.send(s, l, op.slots(op.off[l], hi-lo, 0, 1<<s))
 		}
-		b := op.c.bit(l, s)
-		keys := make([]int, 0, len(op.held[l]))
-		for x := range op.held[l] {
-			keys = append(keys, x)
-		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, x := range keys {
-			buf = append(buf, op.held[l][x]...)
-		}
-		op.held[l] = nil
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
-		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
 
 // RecvStep implements Op.
 func (op *GatherOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] <= s {
-			continue
-		}
-		b := op.c.bit(l, s)
-		prel := op.rel ^ (1 << b)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		incoming := subsets(prel, op.c.pastBits(l, s))
-		sz := hi - lo
-		if len(msg.Data) != len(incoming)*sz {
-			panic(fmt.Sprintf("collective: Gather slice %d got %d words want %d", l, len(msg.Data), len(incoming)*sz))
-		}
-		for i, x := range incoming {
-			op.held[l][x] = msg.Data[i*sz : (i+1)*sz]
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.c.low(op.c.rot(op.rel, l)) > s {
+			op.recv("Gather", s, l, op.slots(op.off[l], hi-lo, 1<<s, 1<<s), false)
 		}
 	}
 }
@@ -267,24 +148,9 @@ func (op *GatherOp) Result() []*matrix.Dense {
 	if op.rel != 0 {
 		return nil
 	}
-	out := make([]*matrix.Dense, op.c.q)
-	for pos := range out {
-		xrel := hypercube.Gray(pos) ^ op.rootRank
-		blk := matrix.New(op.rows, op.cols)
-		for l := 0; l < op.c.g; l++ {
-			lo, hi := sliceBounds(op.w, op.c.g, l)
-			if lo == hi {
-				continue
-			}
-			piece, ok := op.held[l][xrel]
-			if !ok {
-				panic(fmt.Sprintf("collective: Gather missing piece pos=%d slice=%d", pos, l))
-			}
-			copy(blk.Data[lo:hi], piece)
-		}
-		out[pos] = blk
-	}
-	return out
+	return op.pieces(op.c.q, func(pos, l, _, sz int) int {
+		return op.off[l] + op.c.rot(hypercube.Gray(pos)^op.rootRank, l)*sz
+	})
 }
 
 // Gather collects every node's block at rootPos; the root returns the

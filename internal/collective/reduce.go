@@ -13,65 +13,34 @@ import (
 // costs the same: one-port t_s log q + t_w M log q, multi-port
 // t_s log q + t_w M.
 type ReduceOp struct {
-	c          Comm
-	phase      uint64
-	rel        int
-	rows, cols int
-	w          int
-	acc        []float64
-	sendStep   []int
+	slotOp     // one slot: the node's accumulating block
+	rel    int // rank relative to the root
 }
 
 // NewReduce prepares a reduction of blk toward rootPos.
 func (c Comm) NewReduce(phase uint64, rootPos int, blk *matrix.Dense) *ReduceOp {
-	rootRank := hypercube.Gray(rootPos)
-	op := &ReduceOp{
-		c: c, phase: phase, rel: c.rank ^ rootRank,
-		rows: blk.Rows, cols: blk.Cols, w: blk.Rows * blk.Cols,
-	}
-	op.acc = make([]float64, op.w)
-	copy(op.acc, blk.Data)
-	op.sendStep = make([]int, c.g)
-	for l := range op.sendStep {
-		op.sendStep[l] = relStepMin(op.rel, l, c.d)
-	}
+	op := &ReduceOp{c.newSlotOp(phase, blk.Rows, blk.Cols, blk.Rows*blk.Cols), c.rank ^ hypercube.Gray(rootPos)}
+	copy(op.buf, blk.Data)
 	return op
 }
 
-// Steps implements Op.
-func (op *ReduceOp) Steps() int { return op.c.d }
-
-// SendStep implements Op.
+// SendStep implements Op: slice l leaves at step low(rot(rel, l)).
 func (op *ReduceOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] != s {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.c.low(op.c.rot(op.rel, l)) == s {
+			op.send(s, l, op.buf[lo:hi])
 		}
-		b := op.c.bit(l, s)
-		op.c.N.Send(op.c.partner(b), tag(op.phase, s, l), op.acc[lo:hi])
 	}
 }
 
 // RecvStep implements Op.
 func (op *ReduceOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi || op.sendStep[l] <= s {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi && op.c.low(op.c.rot(op.rel, l)) > s {
+			op.recv("Reduce", s, l, op.buf[lo:hi], true)
+			op.c.N.Compute(int64(hi - lo))
 		}
-		b := op.c.bit(l, s)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		if len(msg.Data) != hi-lo {
-			panic(fmt.Sprintf("collective: Reduce slice %d got %d words want %d", l, len(msg.Data), hi-lo))
-		}
-		dst := op.acc[lo:hi]
-		for i, v := range msg.Data {
-			dst[i] += v
-		}
-		msg.Release() // payload fully folded into acc
-		op.c.N.Compute(int64(hi - lo))
 	}
 }
 
@@ -80,7 +49,7 @@ func (op *ReduceOp) Result() *matrix.Dense {
 	if op.rel != 0 {
 		return nil
 	}
-	return matrix.FromSlice(op.rows, op.cols, op.acc)
+	return matrix.FromSlice(op.rows, op.cols, op.buf)
 }
 
 // Reduce sums every node's block at rootPos; the root returns the sum,
@@ -99,13 +68,12 @@ func (c Comm) Reduce(phase uint64, rootPos int, blk *matrix.Dense) *matrix.Dense
 // contributors of the blocks destined for position j. It is the inverse
 // of the all-to-all broadcast: one-port t_s log q + t_w (q-1)M,
 // multi-port t_s log q + t_w (q-1)M / log q (Table 1).
-type ReduceScatterOp struct {
-	c          Comm
-	phase      uint64
-	rows, cols int
-	w          int
-	held       []map[int][]float64 // per slice: dest rank -> accumulating slice
-}
+//
+// Slice l keeps the accumulating piece for rank x in slot rev(x, l):
+// before step s the node holds the aligned run of 2^(d-s) slots around
+// its own, sends the half not containing its own slot and folds the
+// partner's copy of the other half into it.
+type ReduceScatterOp struct{ slotOp }
 
 // NewReduceScatter prepares an all-to-all reduction; blocks are indexed
 // by destination position and must be uniform.
@@ -114,96 +82,53 @@ func (c Comm) NewReduceScatter(phase uint64, blocks []*matrix.Dense) *ReduceScat
 		panic(fmt.Sprintf("collective: ReduceScatter has %d blocks want %d", len(blocks), c.q))
 	}
 	rows, cols := checkUniform("ReduceScatter", blocks)
-	op := &ReduceScatterOp{c: c, phase: phase, rows: rows, cols: cols, w: rows * cols}
-	op.held = make([]map[int][]float64, c.g)
-	for l := range op.held {
-		op.held[l] = make(map[int][]float64, c.q)
+	op := &ReduceScatterOp{c.newSlotOp(phase, rows, cols, c.q*rows*cols)}
+	for l := 0; l < c.g; l++ {
 		lo, hi := sliceBounds(op.w, c.g, l)
-		sz := hi - lo
-		// One slab for all q accumulating copies of this slice.
-		slab := make([]float64, c.q*sz)
 		for pos, b := range blocks {
-			cp := slab[pos*sz : (pos+1)*sz : (pos+1)*sz]
-			copy(cp, b.Data[lo:hi])
-			op.held[l][hypercube.Gray(pos)] = cp
+			copy(op.slots(c.q*lo, hi-lo, c.rev(hypercube.Gray(pos), l), 1), b.Data[lo:hi])
 		}
 	}
 	return op
 }
 
-// Steps implements Op.
-func (op *ReduceScatterOp) Steps() int { return op.c.d }
+// half returns slice l's half-run of 2^(d-1-s) slots the node keeps at
+// step s, or with partner set the half it hands over.
+func (op *ReduceScatterOp) half(s, l, lo, hi int, partner bool) []float64 {
+	h := 1 << (op.c.d - 1 - s)
+	k := op.c.rev(op.c.rank, l) &^ (h - 1)
+	if partner {
+		k ^= h
+	}
+	return op.slots(op.c.q*lo, hi-lo, k, h)
+}
 
 // SendStep implements Op.
 func (op *ReduceScatterOp) SendStep(s int) {
 	op.c.check()
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			op.send(s, l, op.half(s, l, lo, hi, true))
 		}
-		b := op.c.bit(l, s)
-		myBit := op.c.rank & (1 << b)
-		keys := make([]int, 0, len(op.held[l])/2)
-		for x := range op.held[l] {
-			if x&(1<<b) != myBit {
-				keys = append(keys, x)
-			}
-		}
-		sortInts(keys)
-		buf := make([]float64, 0, len(keys)*(hi-lo))
-		for _, x := range keys {
-			buf = append(buf, op.held[l][x]...)
-			delete(op.held[l], x)
-		}
-		// buf is freshly assembled and never touched again: hand the
-		// slice to the network instead of paying a transport copy.
-		op.c.N.SendOwned(op.c.partner(b), tag(op.phase, s, l), buf)
 	}
 }
 
 // RecvStep implements Op.
 func (op *ReduceScatterOp) RecvStep(s int) {
 	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
+		if lo, hi := sliceBounds(op.w, op.c.g, l); lo < hi {
+			kept := op.half(s, l, lo, hi, false)
+			op.recv("ReduceScatter", s, l, kept, true)
+			op.c.N.Compute(int64(len(kept)))
 		}
-		b := op.c.bit(l, s)
-		msg := op.c.N.Recv(op.c.partner(b), tag(op.phase, s, l))
-		kept := subsets(op.c.rank, op.c.futureBits(l, s))
-		sz := hi - lo
-		if len(msg.Data) != len(kept)*sz {
-			panic(fmt.Sprintf("collective: ReduceScatter slice %d got %d words want %d", l, len(msg.Data), len(kept)*sz))
-		}
-		for i, x := range kept {
-			dst := op.held[l][x]
-			src := msg.Data[i*sz : (i+1)*sz]
-			for k, v := range src {
-				dst[k] += v
-			}
-		}
-		words := len(msg.Data)
-		msg.Release() // payload fully folded into held slices
-		op.c.N.Compute(int64(words))
 	}
 }
 
 // Result returns the node's own summed block (valid after Run).
 func (op *ReduceScatterOp) Result() *matrix.Dense {
-	out := matrix.New(op.rows, op.cols)
-	for l := 0; l < op.c.g; l++ {
-		lo, hi := sliceBounds(op.w, op.c.g, l)
-		if lo == hi {
-			continue
-		}
-		piece, ok := op.held[l][op.c.rank]
-		if !ok {
-			panic(fmt.Sprintf("collective: ReduceScatter missing own slice %d", l))
-		}
-		copy(out.Data[lo:hi], piece)
-	}
-	return out
+	return op.pieces(1, func(_, l, lo, sz int) int {
+		return op.c.q*lo + op.c.rev(op.c.rank, l)*sz
+	})[0]
 }
 
 // ReduceScatter runs an all-to-all reduction: blocks are indexed by

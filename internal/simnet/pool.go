@@ -33,7 +33,7 @@ func PoolInFlight() (payloads, msgs int64) {
 // and the buffer falls back to ordinary garbage collection — Release is
 // an optimization hook, never an obligation.
 //
-// Owned sends (SendOwned/SendMOwned) carry no box: their payload is the
+// Owned sends (SendMOwned) carry no box: their payload is the
 // caller's slice, which must never be recycled into the pool, so
 // Release on such a message is a no-op. This is what makes Release safe
 // to call unconditionally on any fully-consumed message.

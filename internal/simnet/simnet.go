@@ -189,7 +189,6 @@ func NewMachine(cfg Config) *Machine {
 			ID:       id,
 			m:        m,
 			inbox:    make(chan *Msg, cap),
-			pend:     make(map[pendKey][]*Msg),
 			sendPort: make([]float64, m.numPorts()),
 			recvPort: make([]float64, m.numPorts()),
 			work:     make(chan func(*Node), 1),
@@ -446,14 +445,14 @@ type Node struct {
 	// it between runs. Unused (but allocated) in cold mode.
 	work chan func(*Node)
 
-	// pend indexes out-of-order arrivals by (source, tag) so match is
-	// O(1) instead of a scan of every parked message. Queues are FIFO
-	// per key; emptied queues keep their backing arrays for reuse. The
-	// mutex exists for Machine.Diagnose, which reads from a watchdog
-	// goroutine — all other access is from the node's own goroutine.
-	pendMu  sync.Mutex
-	pend    map[pendKey][]*Msg
-	pendLen int
+	// pend parks out-of-order arrivals in arrival order; match scans it
+	// for the first (source, tag) hit. The lockstep programs keep it a
+	// few messages deep, and the slice keeps its backing array across
+	// runs. The mutex exists for Machine.Diagnose, which reads from a
+	// watchdog goroutine — all other access is from the node's own
+	// goroutine.
+	pendMu sync.Mutex
+	pend   []*Msg
 
 	msgs, words, startups, wordHops, flops, retries int64
 	peakWords                                       int
@@ -481,14 +480,11 @@ func (n *Node) reset() {
 // node program is executing.
 func (n *Node) releaseParked() {
 	n.pendMu.Lock()
-	for k, q := range n.pend {
-		for i, msg := range q {
-			msg.Release()
-			q[i] = nil
-		}
-		n.pend[k] = q[:0]
+	for i, msg := range n.pend {
+		msg.Release()
+		n.pend[i] = nil
 	}
-	n.pendLen = 0
+	n.pend = n.pend[:0]
 	n.pendMu.Unlock()
 	for {
 		select {
@@ -543,17 +539,11 @@ func (n *Node) SendM(dst int, tag uint64, blk *matrix.Dense) {
 	n.sendShaped(dst, tag, blk.Data, blk.Rows, blk.Cols)
 }
 
-// SendOwned transmits data without the defensive copy, transferring
-// ownership of the slice to the network: the caller must not read or
-// write data after the call. Use it for freshly built buffers the
-// sender provably never touches again — the lockstep collectives'
-// per-step staging buffers are the canonical case.
-func (n *Node) SendOwned(dst int, tag uint64, data []float64) {
-	n.sendCore(dst, tag, data, nil, 0, 0)
-}
-
-// SendMOwned is SendOwned for a shaped matrix block: blk and its Data
-// must not be used by the sender after the call.
+// SendMOwned transmits a dense matrix block without the defensive copy,
+// transferring ownership to the network: the sender must not read or
+// write blk or its Data after the call. Use it for blocks the sender
+// provably never touches again, such as the matrices a Cannon shift
+// hands on.
 func (n *Node) SendMOwned(dst int, tag uint64, blk *matrix.Dense) {
 	n.sendCore(dst, tag, blk.Data, nil, blk.Rows, blk.Cols)
 }
@@ -785,44 +775,33 @@ func (n *Node) RecvM(src int, tag uint64) *matrix.Dense {
 	return n.Recv(src, tag).Matrix()
 }
 
-// pendKey identifies a receive rendezvous: messages park and match on
-// exactly (source, tag).
-type pendKey struct {
-	src int
-	tag uint64
-}
-
 // enqueuePending parks a message that no receive is waiting for yet.
 func (n *Node) enqueuePending(msg *Msg) {
-	key := pendKey{msg.Src, msg.Tag}
 	n.pendMu.Lock()
-	n.pend[key] = append(n.pend[key], msg)
-	n.pendLen++
+	n.pend = append(n.pend, msg)
 	n.pendMu.Unlock()
 }
 
-// takePending pops the oldest parked message for key, if any. The
-// backing array is retained (shifted down) so steady-state matching
-// does not allocate.
-func (n *Node) takePending(key pendKey) *Msg {
+// takePending removes and returns the oldest parked message from src
+// with tag, if any. Later messages shift down, so the FIFO order per
+// (source, tag) holds and steady-state matching does not allocate.
+func (n *Node) takePending(src int, tag uint64) *Msg {
 	n.pendMu.Lock()
 	defer n.pendMu.Unlock()
-	q := n.pend[key]
-	if len(q) == 0 {
-		return nil
+	for i, msg := range n.pend {
+		if msg.Src == src && msg.Tag == tag {
+			copy(n.pend[i:], n.pend[i+1:])
+			n.pend[len(n.pend)-1] = nil
+			n.pend = n.pend[:len(n.pend)-1]
+			return msg
+		}
 	}
-	msg := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	n.pend[key] = q[:len(q)-1]
-	n.pendLen--
-	return msg
+	return nil
 }
 
 // match returns the first pending or incoming message from src with tag.
 func (n *Node) match(src int, tag uint64) *Msg {
-	key := pendKey{src, tag}
-	if msg := n.takePending(key); msg != nil {
+	if msg := n.takePending(src, tag); msg != nil {
 		return msg
 	}
 	n.waitSrc.Store(int64(src))
@@ -869,32 +848,28 @@ func (m *Machine) Diagnose() string {
 		if !n.waiting.Load() {
 			continue
 		}
+		// Copy the keys under the lock: a matched message leaves pend
+		// under it before its receiver may release it.
 		n.pendMu.Lock()
-		keys := make([]pendKey, 0, len(n.pend))
-		for k, q := range n.pend {
-			if len(q) > 0 {
-				keys = append(keys, k)
-			}
+		parked := make([]Msg, len(n.pend))
+		for i, msg := range n.pend {
+			parked[i] = Msg{Src: msg.Src, Tag: msg.Tag}
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].src != keys[j].src {
-				return keys[i].src < keys[j].src
+		n.pendMu.Unlock()
+		sort.SliceStable(parked, func(i, j int) bool {
+			if parked[i].Src != parked[j].Src {
+				return parked[i].Src < parked[j].Src
 			}
-			return keys[i].tag < keys[j].tag
+			return parked[i].Tag < parked[j].Tag
 		})
 		fmt.Fprintf(&sb, "node %d waits on (src=%d tag=%#x); inbox=%d pending=[",
 			n.ID, n.waitSrc.Load(), n.waitTag.Load(), len(n.inbox))
-		first := true
-		for _, k := range keys {
-			for range n.pend[k] {
-				if !first {
-					sb.WriteByte(' ')
-				}
-				first = false
-				fmt.Fprintf(&sb, "(%d,%#x)", k.src, k.tag)
+		for i, msg := range parked {
+			if i > 0 {
+				sb.WriteByte(' ')
 			}
+			fmt.Fprintf(&sb, "(%d,%#x)", msg.Src, msg.Tag)
 		}
-		n.pendMu.Unlock()
 		sb.WriteString("]\n")
 	}
 	return sb.String()

@@ -152,6 +152,30 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 	})
 }
 
+// TestPendingFIFOPerKey: parked messages that share (source, tag) match
+// in arrival order even when other tags are parked between them.
+func TestPendingFIFOPerKey(t *testing.T) {
+	m := mach(2, OnePort, 1, 1, 0)
+	m.Run(func(n *Node) {
+		if n.ID == 0 {
+			for i, tag := range []uint64{1, 2, 1, 2} {
+				n.Send(1, tag, []float64{float64(i)})
+			}
+			return
+		}
+		for _, want := range []struct {
+			tag uint64
+			v   float64
+		}{{2, 1}, {2, 3}, {1, 0}, {1, 2}} {
+			msg := n.Recv(0, want.tag)
+			if msg.Data[0] != want.v {
+				t.Errorf("tag %d got %g, want %g", want.tag, msg.Data[0], want.v)
+			}
+			msg.Release()
+		}
+	})
+}
+
 func TestMatrixRoundTrip(t *testing.T) {
 	m := mach(2, OnePort, 1, 1, 0)
 	a := matrix.Random(4, 6, 42)
@@ -362,6 +386,39 @@ func TestDiagnoseShowsBlockedNodes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Error("Diagnose never reported the blocked node")
+}
+
+// TestDiagnoseListsParkedMessages: a node blocked on one tag while a
+// different tag sits parked reports the parked (source, tag) pair.
+func TestDiagnoseListsParkedMessages(t *testing.T) {
+	m := mach(2, OnePort, 0, 0, 0)
+	finish := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Run(func(n *Node) {
+			if n.ID == 1 {
+				n.Recv(0, 42).Release()
+				n.Recv(0, 7).Release()
+				return
+			}
+			n.Send(1, 7, []float64{1})
+			<-finish
+			n.Send(1, 42, []float64{2})
+		})
+	}()
+	defer func() { <-done }()
+	defer close(finish)
+	for i := 0; i < 1000; i++ {
+		if s := m.Diagnose(); strings.Contains(s, "pending=[(0,0x7)]") {
+			if !strings.Contains(s, "waits on (src=0 tag=0x2a)") {
+				t.Errorf("diagnose output unexpected: %q", s)
+			}
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Error("Diagnose never listed the parked message")
 }
 
 func TestBarrierAlignsClocks(t *testing.T) {
