@@ -27,9 +27,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz pass over the collective and matrix targets (seed corpus +
-# 10s of exploration each); not part of check, run before touching the
-# collectives.
+# Short fuzz pass over the collective, matrix, calibration-profile,
+# cluster wire-codec and QoS-policy targets (seed corpus + 10s of
+# exploration each); not part of check, run before touching any of them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/collective -run XXX -fuzz FuzzAllGatherShapes -fuzztime $(FUZZTIME)
@@ -40,6 +40,8 @@ fuzz:
 	$(GO) test ./internal/matrix -run XXX -fuzz FuzzGridBlockRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calibrate -run XXX -fuzz FuzzProfileParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTraceContext -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run XXX -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run XXX -fuzz FuzzTakeMatrix -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run XXX -fuzz FuzzQoSConfigParse -fuzztime $(FUZZTIME)
 
 # Boot hmmd, fire one request through the stress client's load-generator
@@ -143,9 +145,9 @@ soak:
 # benches) into BENCH_kernel.json, plus the collective scaling
 # trajectory (broadcast / all-gather / all-to-all / scatter /
 # reduce-scatter at p=8 and p=64, with allocs/op) into
-# BENCH_collectives.json, plus the steady-state serving trajectory
-# (warm machine pool vs cold per-request machines at p=64, HTTP and
-# scheduler-direct, with req/s metrics) into BENCH_serving.json.
+# BENCH_collectives.json, plus the steady-state serving trajectory (a
+# per-request machine at p=64, over HTTP and scheduler-direct, traced
+# and untraced, with req/s metrics) into BENCH_serving.json.
 # BENCHTIME=1x gives a cheap CI smoke; the default gives stable numbers.
 BENCHTIME ?= 0.5s
 bench:

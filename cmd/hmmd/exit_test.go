@@ -15,12 +15,20 @@ import (
 
 // TestHTTPServerHardening pins the listener timeouts: without a header
 // read timeout one slow-loris client holds a connection goroutine
-// forever, and without an idle timeout keep-alive connections are never
-// reclaimed.
+// forever, without read and write timeouts a client trickling its body
+// or never draining the response does the same, and without an idle
+// timeout keep-alive connections are never reclaimed. The write timeout
+// must outlast pprof's default 30-second CPU profile.
 func TestHTTPServerHardening(t *testing.T) {
 	s := newHTTPServer(http.NewServeMux())
 	if s.ReadHeaderTimeout != 10*time.Second {
 		t.Errorf("ReadHeaderTimeout = %v, want 10s", s.ReadHeaderTimeout)
+	}
+	if s.ReadTimeout != 2*time.Minute {
+		t.Errorf("ReadTimeout = %v, want 2m", s.ReadTimeout)
+	}
+	if s.WriteTimeout != 5*time.Minute {
+		t.Errorf("WriteTimeout = %v, want 5m", s.WriteTimeout)
 	}
 	if s.IdleTimeout != 120*time.Second {
 		t.Errorf("IdleTimeout = %v, want 120s", s.IdleTimeout)

@@ -56,8 +56,8 @@
 // worker registrations and every non-trace job is sharded least-loaded
 // across them, with health probes, circuit breakers and mid-job
 // failover. With -role worker, the process registers at -join and
-// executes jobs for the coordinator through its own scheduler and warm
-// machine pool; its HTTP endpoints stay available for local inspection.
+// executes jobs for the coordinator through its own scheduler; its HTTP
+// endpoints stay available for local inspection.
 //
 // SIGTERM or SIGINT begins a graceful shutdown: intake stops (503),
 // in-flight and queued jobs drain, then the process exits.
@@ -91,13 +91,21 @@ func main() {
 }
 
 // newHTTPServer wraps the handler in an http.Server with hardened
-// listener timeouts: slow-header clients are cut off and idle
-// keep-alive connections reclaimed, while in-flight requests (jobs can
-// legitimately run long) stay unbounded and drain on shutdown.
+// listener timeouts: slow-header clients are cut off, idle keep-alive
+// connections reclaimed, and no request holds a connection forever.
+// ReadTimeout bounds reading a whole request, long enough for the
+// largest admitted body (two inline 1024x1024 operands, about 64 MiB)
+// at 0.5 MB/s. WriteTimeout runs from the end of the request headers to
+// the end of the response, so it covers queueing plus the run; the
+// slowest default-limit runs (n=1024 at p=64..512) take under a second
+// on a 2-core 2.1 GHz Xeon, and /debug/pprof/profile samples for 30 s
+// by default, so 5 minutes leaves wide room for both.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		WriteTimeout:      5 * time.Minute,
 		IdleTimeout:       120 * time.Second,
 	}
 }
@@ -113,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		addr    = fs.String("addr", ":8080", "HTTP listen address")
 		workers = fs.Int("workers", 4, "scheduler worker pool size")
 		queue   = fs.Int("queue", 0, "scheduler queue depth (0: 2x workers)")
-		pool    = fs.Int("pool", 0, "warm machine pool capacity (0: 2x workers, negative: disable pooling)")
 		cache   = fs.Int("cache", 1024, "planner LRU cache entries")
 		maxN    = fs.Int("maxn", 1024, "largest accepted matrix size")
 		maxP    = fs.Int("maxp", 4096, "largest accepted machine size")
@@ -248,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	srv, err := server.New(server.Config{
-		Workers: *workers, QueueDepth: *queue, PoolSize: *pool, CacheSize: *cache,
+		Workers: *workers, QueueDepth: *queue, CacheSize: *cache,
 		MaxN: *maxN, MaxP: *maxP, Calibration: profile, Cluster: coord, QoS: qosCfg,
 		TraceRing: *traceRing, Tracer: tracer, Log: logger, Pprof: *pprofOn,
 	})

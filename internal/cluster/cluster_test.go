@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,6 +202,133 @@ func TestVersionMismatchRefused(t *testing.T) {
 	}
 	if r := refusal(hello{Version: ProtocolVersion, Name: "bad", Capabilities: []string{"other/v9"}}); r == "" {
 		t.Error("capability refusal has no reason")
+	}
+}
+
+// TestHostileResultShapeRefused hand-rolls a worker that answers its
+// job with a 2^31 x 2^31 result header over a 16-byte tail. The
+// coordinator's read loop must refuse the frame as a transport error
+// rather than panic (it has no recover, so a panic ends the process),
+// and the job must fail with that error instead of a product.
+func TestHostileResultShapeRefused(t *testing.T) {
+	coord, err := NewCoordinator(Config{Addr: "127.0.0.1:0", RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	conn, err := net.Dial("tcp", coord.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, msgHello, hello{Version: ProtocolVersion, Name: "hostile", Capabilities: []string{CapMatmul}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if mt, _, _, err := readFrame(br, DefaultMaxFrame); err != nil || mt != msgWelcome {
+		t.Fatalf("registration: type %d, %v", mt, err)
+	}
+	go func() {
+		for {
+			mt, hdr, _, err := readFrame(br, DefaultMaxFrame)
+			if err != nil {
+				return
+			}
+			if mt != msgJob {
+				continue
+			}
+			var spec jobSpec
+			if json.Unmarshal(hdr, &spec) != nil {
+				return
+			}
+			_ = writeFrame(conn, msgResult, jobReply{ID: spec.ID, Rows: 1 << 31, Cols: 1 << 31}, make([]byte, 16))
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	A := hypermm.RandomMatrix(4, 4, 1)
+	res, err := coord.Submit(ctx, hypermm.Cannon, hypermm.Config{P: 4, Ts: 1, Tw: 1}, A, A)
+	if err == nil {
+		t.Fatalf("hostile result accepted: %dx%d product", res.C.Rows, res.C.Cols)
+	}
+	if !strings.Contains(err.Error(), "cannot hold") {
+		t.Errorf("got %v, want the bad-tail refusal", err)
+	}
+}
+
+// TestWorkerRefusesHostileJobShape plays the coordinator for a worker
+// with no MaxN: a job frame claiming n = 2^31 over a 16-byte operand
+// tail must be answered with a bad-job refusal, never reach Exec, and
+// leave the worker serving.
+func TestWorkerRefusesHostileJobShape(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type accepted struct {
+		conn net.Conn
+		br   *bufio.Reader
+		err  error
+	}
+	acc := make(chan accepted, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			acc <- accepted{err: err}
+			return
+		}
+		br := bufio.NewReader(conn)
+		if _, _, _, err := readFrame(br, DefaultMaxFrame); err != nil {
+			acc <- accepted{err: err}
+			return
+		}
+		err = writeFrame(conn, msgWelcome, welcome{Version: ProtocolVersion, OK: true, WorkerID: 1}, nil)
+		acc <- accepted{conn, br, err}
+	}()
+	exec := func(ctx context.Context, alg hypermm.Algorithm, cfg hypermm.Config, A, B *hypermm.Matrix) (*hypermm.Result, error) {
+		return nil, errors.New("hostile job reached Exec")
+	}
+	w, err := Join(context.Background(), ln.Addr().String(), WorkerConfig{Name: "w", Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	served := make(chan error, 1)
+	go func() { served <- w.Serve(context.Background()) }()
+	a := <-acc
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	defer a.conn.Close()
+
+	spec := jobSpec{ID: 7, Algorithm: "cannon", N: 1 << 31, P: 4, Ts: 1, Tw: 1}
+	if err := writeFrame(a.conn, msgJob, spec, make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	mt, hdr, _, err := readFrame(a.br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep jobReply
+	if err := json.Unmarshal(hdr, &rep); err != nil || mt != msgResult {
+		t.Fatalf("reply type %d, %v", mt, err)
+	}
+	if rep.ID != 7 || rep.ErrKind != kindBadJob || !strings.Contains(rep.Err, "cannot hold") {
+		t.Fatalf("got reply %+v, want a bad-job refusal of the operand tail", rep)
+	}
+	// Still serving: a ping is answered.
+	if err := writeFrame(a.conn, msgPing, ping{Seq: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, _, err := readFrame(a.br, DefaultMaxFrame); err != nil || mt != msgPong {
+		t.Fatalf("after the hostile job: type %d, %v; want a pong", mt, err)
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("worker stopped serving: %v", err)
+	default:
 	}
 }
 

@@ -2,7 +2,7 @@
 // processes: a coordinator accepts TCP connections from workers, routes
 // each job to the least-loaded healthy worker, and fails jobs over when
 // a worker dies mid-flight. Workers execute jobs with the unmodified
-// local machinery (scheduler + warm machine pool), so every result a
+// local machinery (the scheduler and hypermm.Run), so every result a
 // worker returns is byte-identical to a local hypermm.Run — the
 // clusterequiv conformance oracle pins exactly that.
 //
@@ -268,12 +268,14 @@ func appendMatrix(dst []byte, m *hypermm.Matrix) []byte {
 }
 
 // takeMatrix decodes a rows x cols matrix from the front of tail and
-// returns the remainder.
+// returns the remainder. The shape comes from an untrusted header, so
+// it is bounded by the tail before anything is multiplied: rows*cols*8
+// of a hostile shape can wrap around to a small number.
 func takeMatrix(tail []byte, rows, cols int) (*hypermm.Matrix, []byte, error) {
-	need := rows * cols * 8
-	if rows < 1 || cols < 1 || len(tail) < need {
-		return nil, nil, fmt.Errorf("cluster: matrix tail has %d bytes, need %d for %dx%d", len(tail), need, rows, cols)
+	if rows < 1 || cols < 1 || rows > len(tail)/8/cols {
+		return nil, nil, fmt.Errorf("cluster: matrix tail of %d bytes cannot hold %dx%d words", len(tail), rows, cols)
 	}
+	need := rows * cols * 8
 	m := hypermm.NewMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(tail[i*8:]))

@@ -88,6 +88,30 @@ func TestMatrixCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTakeMatrixHostileShape: a 2^31 x 2^31 shape makes rows*cols*8
+// wrap to 0 on 64-bit ints, so a size check computed that way passes
+// and makeslice panics — inside the coordinator's read loop, which one
+// malformed result frame would take down. Every such shape must be
+// refused with an error.
+func TestTakeMatrixHostileShape(t *testing.T) {
+	tail := make([]byte, 16)
+	for _, s := range [][2]int{
+		{1 << 31, 1 << 31},
+		{1 << 61, 1},
+		{1, 1 << 61},
+		{math.MaxInt, math.MaxInt},
+		{3, 1},
+		{-2, -1},
+	} {
+		if m, _, err := takeMatrix(tail, s[0], s[1]); err == nil {
+			t.Errorf("%dx%d accepted from a 16-byte tail (%d words)", s[0], s[1], len(m.Data))
+		}
+	}
+	if m, rest, err := takeMatrix(tail, 2, 1); err != nil || len(m.Data) != 2 || len(rest) != 0 {
+		t.Errorf("2x1 from 16 bytes: %v", err)
+	}
+}
+
 func TestWireFaultRoundTrip(t *testing.T) {
 	fp := &hypermm.FaultPlan{
 		Seed: 9, Drop: 0.1, Dup: 0.05, DelayProb: 0.2, DelayTime: 3,

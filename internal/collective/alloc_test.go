@@ -43,10 +43,11 @@ func TestCollectiveAllocsFlat(t *testing.T) {
 }
 
 // nodeAllocs returns the mean allocations per node of one run of op on
-// a q-node chain. The 4x6 blocks give every multi-port slice a word.
+// a q-node chain, net of what an empty program costs on the same
+// machine (the run's own goroutines and abort channels). The 4x6 blocks
+// give every multi-port slice a word.
 func nodeAllocs(q int, pm simnet.PortModel, op func(Comm, *matrix.Dense, []*matrix.Dense)) float64 {
-	m := simnet.NewMachine(simnet.Config{P: q, Ports: pm, Ts: 1, Tw: 1, Persistent: true})
-	defer m.Close()
+	m := simnet.NewMachine(simnet.Config{P: q, Ports: pm, Ts: 1, Tw: 1})
 	ch := chainOf(q)
 	blk := posBlock(4, 6, 0, 1)
 	blocks := make([]*matrix.Dense, q)
@@ -58,5 +59,6 @@ func nodeAllocs(q int, pm simnet.PortModel, op func(Comm, *matrix.Dense, []*matr
 	// them is an allocation per pooled buffer that depends on the heap's
 	// pace, not on the collective: measure with the collector off.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	return testing.AllocsPerRun(20, func() { m.Run(prog) }) / float64(q)
+	empty := testing.AllocsPerRun(20, func() { m.Run(func(*simnet.Node) {}) })
+	return (testing.AllocsPerRun(20, func() { m.Run(prog) }) - empty) / float64(q)
 }

@@ -289,31 +289,6 @@ func TestOracleCatalogueNamed(t *testing.T) {
 	}
 }
 
-// TestPoolEquivOracle exercises the machine-pool equivalence oracle on
-// a clean case and on a recoverable faulted one (retry traffic is the
-// hardest state for the warm machine's reset to scrub).
-func TestPoolEquivOracle(t *testing.T) {
-	o, ok := OracleByName("poolequiv")
-	if !ok {
-		t.Fatal("poolequiv missing from the catalogue")
-	}
-	clean := Case{N: 16, P: 4, Ts: 10, Tw: 3, Tc: 0.5, Content: ContentRandom, ContentSeed: 21, Scale: 2, PlanKind: PlanClean}
-	if err := o.Check(clean); err != nil {
-		t.Errorf("clean case: %v", err)
-	}
-	light := Case{
-		N: 16, P: 4, Ts: 1, Tw: 1, Content: ContentSmallInt, ContentSeed: 22, Scale: 2,
-		PlanKind: PlanLight,
-		Plan:     &hypermm.FaultPlan{Seed: 5, Drop: 0.1, MaxRetries: 40},
-	}
-	if !light.Recoverable() {
-		t.Fatal("light case classified unrecoverable")
-	}
-	if err := o.Check(light); err != nil {
-		t.Errorf("recoverable case: %v", err)
-	}
-}
-
 // TestFaultEquivRecoversTypedErrors: a hostile case must not reach the
 // faultequiv oracle (Applies gates it), and the differential oracle
 // must classify its typed faults as acceptable, not failures.

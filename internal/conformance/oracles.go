@@ -80,13 +80,6 @@ func Oracles() []Oracle {
 			Check: checkSimVsPredicted,
 		},
 		{
-			Name: "poolequiv",
-			Doc: "machine-pool equivalence: repeated runs on one warm pooled " +
-				"machine are byte-identical (product bytes, Elapsed, CommStats) " +
-				"to the same runs on fresh machines",
-			Check: checkPoolEquiv,
-		},
-		{
 			Name: "faultequiv",
 			Doc: "fault equivalence: under a recoverable plan the retry protocol " +
 				"reproduces the fault-free product exactly",
@@ -508,66 +501,6 @@ func checkFaultEquiv(c Case) error {
 	return nil
 }
 
-// poolEquivAlgs bounds how many algorithms the pool-equivalence oracle
-// runs per case: each algorithm costs four full runs (two fresh, two
-// warm).
-const poolEquivAlgs = 3
-
-// checkPoolEquiv runs each algorithm twice on one warm pooled machine
-// and twice on fresh machines: the pool's reset contract says the
-// results must be byte-identical — product bits, simulated Elapsed and
-// every CommStats counter — or warm serving would silently drift from
-// the cold semantics every other oracle checks. Recoverable fault plans
-// are replayed on the warm machine too: retry traffic parks messages
-// mid-protocol, the hardest state for the reset to scrub.
-//
-// Deliberately bypasses the runDistributed hook: this oracle pins the
-// pool against hypermm.Run itself, and a test-planted broken kernel
-// (SetRunHook) would break both sides equally and hide here.
-func checkPoolEquiv(c Case) error {
-	A, B := c.Operands()
-	cfg := c.cleanConfig()
-	pool := hypermm.NewMachinePool(1)
-	defer pool.Close()
-	algs := runnable(c.N, c.P)
-	if len(algs) > poolEquivAlgs {
-		algs = algs[:poolEquivAlgs]
-	}
-	for _, alg := range algs {
-		for round := 1; round <= 2; round++ {
-			fresh, err := hypermm.Run(alg, cfg, A, B)
-			if err != nil {
-				return fmt.Errorf("%s: fresh run %d: %v", alg.Name(), round, err)
-			}
-			warm, err := pool.RunOn(alg, cfg, A, B)
-			if err != nil {
-				return fmt.Errorf("%s: pooled run %d: %v", alg.Name(), round, err)
-			}
-			if err := equalResults(fresh, warm); err != nil {
-				return fmt.Errorf("%s: pooled run %d diverged from fresh machine: %v", alg.Name(), round, err)
-			}
-		}
-		if c.Recoverable() {
-			fcfg := c.faultConfig()
-			fresh, err := hypermm.Run(alg, fcfg, A, B)
-			if err != nil {
-				return fmt.Errorf("%s: fresh faulted run: %v", alg.Name(), err)
-			}
-			warm, err := pool.RunOn(alg, fcfg, A, B)
-			if err != nil {
-				return fmt.Errorf("%s: pooled faulted run: %v", alg.Name(), err)
-			}
-			if err := equalResults(fresh, warm); err != nil {
-				return fmt.Errorf("%s: pooled faulted run diverged from fresh machine: %v", alg.Name(), err)
-			}
-		}
-	}
-	if st := pool.Stats(); st.Hits == 0 {
-		return fmt.Errorf("pool reported no hits over repeated same-shape runs: %+v", st)
-	}
-	return nil
-}
-
 // clusterEquivAlgs bounds how many algorithms the cluster-equivalence
 // oracle routes per case: each costs two full runs plus a round trip of
 // both operands and the product over loopback TCP.
@@ -581,9 +514,9 @@ const clusterEquivAlgs = 2
 // byte-for-byte. Recoverable fault plans travel the wire too — the
 // retry counters must survive serialization.
 //
-// Like poolequiv, this deliberately bypasses the runDistributed hook:
-// the oracle pins the cluster tier against hypermm.Run itself, and a
-// test-planted broken kernel would break both sides equally and hide.
+// It deliberately bypasses the runDistributed hook: the oracle pins the
+// cluster tier against hypermm.Run itself, and a test-planted broken
+// kernel would break both sides equally and hide.
 func checkClusterEquiv(c Case) error {
 	coord, err := cluster.NewCoordinator(cluster.Config{
 		Addr:          "127.0.0.1:0",

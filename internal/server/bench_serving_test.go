@@ -13,16 +13,14 @@ import (
 	"hypermm/internal/obs"
 )
 
-// BenchmarkServe_* measures steady-state serving throughput over the
-// full HTTP path (JSON decode, plan, arena operands, simulated run,
+// BenchmarkServe_HTTP_P64 measures steady-state serving throughput over
+// the full HTTP path (JSON decode, plan, seeded operands, simulated run,
 // JSON encode) at the paper's p=64 machine size with a small operand,
-// so per-request emulator setup — not arithmetic — dominates. The warm
-// variant reuses pooled persistent machines; the cold variant builds a
-// 64-goroutine machine per request (PoolSize < 0 disables pooling).
-// make bench persists both as BENCH_serving.json; the warm req/s must
-// stay well ahead of cold.
-func benchServe(b *testing.B, poolSize int) {
-	srv, err := New(Config{Workers: 1, QueueDepth: 4, PoolSize: poolSize})
+// so per-request emulator setup — building a 64-node machine and
+// spawning its goroutines — not arithmetic, dominates. make bench
+// persists it in BENCH_serving.json.
+func BenchmarkServe_HTTP_P64(b *testing.B) {
+	srv, err := New(Config{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func benchServe(b *testing.B, poolSize int) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
-	post() // prime the plan cache and (when enabled) the machine pool
+	post() // prime the plan cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,22 +57,14 @@ func benchServe(b *testing.B, poolSize int) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-func BenchmarkServe_WarmPool_P64(b *testing.B)     { benchServe(b, 2) }
-func BenchmarkServe_ColdMachines_P64(b *testing.B) { benchServe(b, -1) }
-
 // benchSched measures the same steady state below the HTTP layer:
-// planner + scheduler + simulated run, so the pool's setup amortization
-// is not diluted by TCP round-trips. A non-nil tracer adds the
-// sched.queue and sched.run spans plus ring recording to every job —
-// the Traced/Untraced pair pins that overhead under 5%.
-func benchSched(b *testing.B, poolSize int, tracer *obs.Tracer) {
+// planner + scheduler + simulated run, so machine setup is not diluted
+// by TCP round-trips. A non-nil tracer adds the sched.queue and
+// sched.run spans plus ring recording to every job — the
+// Traced/Untraced pair pins that overhead under 5%.
+func benchSched(b *testing.B, tracer *obs.Tracer) {
 	m := NewMetrics()
-	var pool *hypermm.MachinePool
-	if poolSize > 0 {
-		pool = hypermm.NewMachinePool(poolSize)
-		defer pool.Close()
-	}
-	s := NewScheduler(1, 4, pool, m)
+	s := NewScheduler(1, 4, m)
 	s.tracer = tracer
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -109,13 +99,12 @@ func benchSched(b *testing.B, poolSize int, tracer *obs.Tracer) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-func BenchmarkServe_SchedWarmPool_P64(b *testing.B)     { benchSched(b, 2, nil) }
-func BenchmarkServe_SchedColdMachines_P64(b *testing.B) { benchSched(b, 0, nil) }
+func BenchmarkServe_Sched_P64(b *testing.B) { benchSched(b, nil) }
 
-// The observability overhead pair: identical warm-pool scheduling, with
-// and without span recording. Every traced job opens two spans whose
-// trace rotates through a 256-trace ring, the worst realistic case.
+// The observability overhead pair: identical scheduling, with and
+// without span recording. Every traced job opens two spans whose trace
+// rotates through a 256-trace ring, the worst realistic case.
 func BenchmarkServe_SchedTraced_P64(b *testing.B) {
-	benchSched(b, 2, obs.NewTracer("bench", 256))
+	benchSched(b, obs.NewTracer("bench", 256))
 }
-func BenchmarkServe_SchedUntraced_P64(b *testing.B) { benchSched(b, 2, nil) }
+func BenchmarkServe_SchedUntraced_P64(b *testing.B) { benchSched(b, nil) }

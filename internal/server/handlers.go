@@ -27,12 +27,6 @@ type Config struct {
 	MaxN       int // largest accepted matrix size (default 1024)
 	MaxP       int // largest accepted machine size (default 4096)
 
-	// PoolSize bounds the warm machine pool: at most this many idle
-	// simulated machines are kept for reuse across requests (default
-	// 2 * Workers; negative disables pooling and every job builds a
-	// cold machine).
-	PoolSize int
-
 	// Calibration, when non-nil, is a validated measurement-fitted
 	// profile (internal/calibrate): the planner predicts with it, plans
 	// are marked calibrated, and GET /v1/calibration serves it.
@@ -87,9 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxP < 1 {
 		c.MaxP = 4096
 	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 2 * c.Workers
-	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
@@ -114,14 +105,12 @@ func (c Config) maxBody() int64 {
 	return 2*int64(c.MaxN)*int64(c.MaxN)*maxNumberBytes + bodySlack
 }
 
-// Server wires the planner, scheduler, machine pool and metrics behind
-// an HTTP API.
+// Server wires the planner, scheduler and metrics behind an HTTP API.
 type Server struct {
 	cfg     Config
 	planner *Planner
 	sched   *Scheduler
 	metrics *Metrics
-	pool    *hypermm.MachinePool // nil when pooling is disabled
 	cluster *cluster.Coordinator // nil when serving standalone
 	tracer  *obs.Tracer          // nil when request tracing is disabled
 	qosReg  *qos.Registry        // never nil; disabled without Config.QoS
@@ -143,18 +132,11 @@ func New(cfg Config) (*Server, error) {
 		planner.WithCalibration(model)
 		m.SetCalibrationLoaded(true)
 	}
-	var pool *hypermm.MachinePool
-	if cfg.PoolSize > 0 {
-		pool = hypermm.NewMachinePool(cfg.PoolSize)
-		pool.SetObserver(func(hit bool, wait time.Duration) {
-			m.StageObserve("pool_checkout", wait)
-		})
-	}
 	tracer := cfg.Tracer
 	if tracer == nil && cfg.TraceRing > 0 {
 		tracer = obs.NewTracer("hmmd", cfg.TraceRing)
 	}
-	sched := NewScheduler(cfg.Workers, cfg.QueueDepth, pool, m)
+	sched := NewScheduler(cfg.Workers, cfg.QueueDepth, m)
 	sched.cluster = cfg.Cluster
 	sched.tracer = tracer
 	if cfg.QoS != nil {
@@ -168,7 +150,6 @@ func New(cfg Config) (*Server, error) {
 		planner: planner,
 		sched:   sched,
 		metrics: m,
-		pool:    pool,
 		cluster: cfg.Cluster,
 		tracer:  tracer,
 		qosReg:  sched.reg,
@@ -228,24 +209,9 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) Planner() *Planner { return s.planner }
 
 // Drain stops job intake and waits (bounded by ctx) for admitted jobs
-// to finish; /healthz reports draining and new jobs get 503. The warm
-// machine pool is closed afterwards (machines still checked out by
-// straggling jobs are closed as they come back).
+// to finish; /healthz reports draining and new jobs get 503.
 func (s *Server) Drain(ctx context.Context) error {
-	err := s.sched.Drain(ctx)
-	if s.pool != nil {
-		s.pool.Close()
-	}
-	return err
-}
-
-// PoolStats reports the warm machine pool's counters (zero when pooling
-// is disabled).
-func (s *Server) PoolStats() hypermm.PoolStats {
-	if s.pool == nil {
-		return hypermm.PoolStats{}
-	}
-	return s.pool.Stats()
+	return s.sched.Drain(ctx)
 }
 
 // Handler returns the route mux.
@@ -519,19 +485,7 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Request-scoped arena: seeded operands are built on pooled slabs
-	// and returned when the request is done, so steady-state serving
-	// reuses the same few big buffers instead of churning the GC. The
-	// arena is only released once the job provably finished — a client
-	// that gives up leaves its job running on these very slabs.
-	arena := hypermm.NewArena()
-	releaseArena := true
-	defer func() {
-		if releaseArena {
-			arena.Release()
-		}
-	}()
-	A, B, err := operands(&req, arena)
+	A, B, err := operands(&req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -549,12 +503,6 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 	}
 	jr, err := s.sched.Submit(ctx, job)
 	if err != nil {
-		if jr == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The client gave up but the admitted job still runs to
-			// completion on the arena's operands: leave the slabs to
-			// the garbage collector rather than recycle them under it.
-			releaseArena = false
-		}
 		outcome = errKind(err)
 		s.cfg.Log.Warn("matmul failed",
 			"trace_id", span.TraceID(), "algorithm", plan.AlgorithmName,
@@ -569,10 +517,6 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 		"tenant", tenant.Name, "class", class.String(),
 		"n", req.N, "p", req.P, "outcome", outcome,
 		"wall_ms", float64(jr.Wall.Microseconds())/1000, "ratio", jr.Ratio)
-	if jr.Res != nil {
-		// The product's backing slab feeds the next request's operands.
-		defer arena.Adopt(jr.Res.C)
-	}
 
 	resp := MatmulResponse{
 		Algorithm: plan.AlgorithmName, Auto: plan.Auto,
@@ -599,18 +543,16 @@ func (s *Server) handleMatmul(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// operands builds A and B from inline data or the request seed. Seeded
-// operands are allocated on the request's arena (contents are identical
-// to hypermm.RandomMatrix); inline operands alias the decoded JSON
-// slices and stay off the arena.
-func operands(req *MatmulRequest, arena *hypermm.Arena) (A, B *hypermm.Matrix, err error) {
+// operands builds A and B from inline data or the request seed. Inline
+// operands alias the decoded JSON slices.
+func operands(req *MatmulRequest) (A, B *hypermm.Matrix, err error) {
 	n := req.N
 	if len(req.A) == 0 && len(req.B) == 0 {
 		seed := req.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		return arena.RandomMatrix(n, n, seed), arena.RandomMatrix(n, n, seed+1), nil
+		return hypermm.RandomMatrix(n, n, seed), hypermm.RandomMatrix(n, n, seed+1), nil
 	}
 	if len(req.A) != n*n || len(req.B) != n*n {
 		return nil, nil, fmt.Errorf("inline operands must both be n*n=%d values (got %d and %d)",
@@ -797,7 +739,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.qosReg.Enabled() {
 		qs = s.sched.QoSStats()
 	}
-	fmt.Fprint(w, s.metrics.Render(hits, misses, entries, s.PoolStats(), cl, qs))
+	fmt.Fprint(w, s.metrics.Render(hits, misses, entries, hypermm.PoolStats{}, cl, qs))
 }
 
 func parsePortsDefault(s string) (hypermm.PortModel, error) {

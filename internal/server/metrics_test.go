@@ -30,7 +30,7 @@ func TestMetricsRender(t *testing.T) {
 		},
 		Dispatched: 15, Completed: 13, Failovers: 1, BusyRetries: 2,
 	}
-	out := m.Render(7, 2, 5, hypermm.PoolStats{Hits: 11, Misses: 4, Size: 3}, cl, nil)
+	out := m.Render(7, 2, 5, hypermm.PoolStats{}, cl, nil)
 	for _, want := range []string{
 		"hmmd_queue_depth 3",
 		"hmmd_inflight_jobs 1",
@@ -41,9 +41,6 @@ func TestMetricsRender(t *testing.T) {
 		"hmmd_plan_cache_hits_total 7",
 		"hmmd_plan_cache_misses_total 2",
 		"hmmd_plan_cache_entries 5",
-		"hmmd_machine_pool_hits_total 11",
-		"hmmd_machine_pool_misses_total 4",
-		"hmmd_machine_pool_size 3",
 		"hmmd_calibration_loaded 1",
 		"hmmd_job_latency_seconds_count 3",
 		`hmmd_job_latency_quantile_seconds{q="0.5"}`,
@@ -63,6 +60,11 @@ func TestMetricsRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
+	}
+
+	// The deprecated pool argument is ignored.
+	if stale := m.Render(7, 2, 5, hypermm.PoolStats{Hits: 11, Misses: 4, Size: 3}, cl, nil); stale != out {
+		t.Errorf("pool counters changed the exposition:\n%s", stale)
 	}
 
 	// Standalone serving renders no cluster family at all.

@@ -142,7 +142,7 @@ func TestStageHistogramRendered(t *testing.T) {
 	if resp, data := postMatmul(t, ts, `{"n": 16, "p": 8}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
-	for _, stage := range []string{"handler", "plan", "admission", "queue", "run", "pool_checkout"} {
+	for _, stage := range []string{"handler", "plan", "admission", "queue", "run"} {
 		if n := srv.Metrics().StageCount(stage); n < 1 {
 			t.Errorf("stage %q never observed", stage)
 		}

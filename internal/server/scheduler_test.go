@@ -28,9 +28,7 @@ func testJob(t *testing.T) Job {
 
 func TestSchedulerRunsJob(t *testing.T) {
 	m := NewMetrics()
-	pool := hypermm.NewMachinePool(2)
-	defer pool.Close()
-	s := NewScheduler(2, 4, pool, m)
+	s := NewScheduler(2, 4, m)
 	job := testJob(t)
 	job.Verify = true
 	r, err := s.Submit(context.Background(), job)
@@ -46,24 +44,20 @@ func TestSchedulerRunsJob(t *testing.T) {
 	if jobs := m.Jobs(); jobs["3dall"] != 1 {
 		t.Errorf("jobs counter = %v, want 3dall:1", jobs)
 	}
-	// A second identical job reuses the warm machine and must report the
+	// A second identical job builds a fresh machine and must report the
 	// same simulated makespan bit for bit.
 	r2, err := s.Submit(context.Background(), testJob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.Res.Elapsed != r.Res.Elapsed {
-		t.Errorf("warm rerun Elapsed %g != first run %g", r2.Res.Elapsed, r.Res.Elapsed)
-	}
-	st := pool.Stats()
-	if st.Hits < 1 || st.Misses < 1 {
-		t.Errorf("pool stats after warm rerun look wrong: %+v", st)
+		t.Errorf("rerun Elapsed %g != first run %g", r2.Res.Elapsed, r.Res.Elapsed)
 	}
 }
 
 func TestSchedulerSaturationAndDrain(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 1, nil, m)
+	s := NewScheduler(1, 1, m)
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })
 	defer release()
@@ -131,7 +125,7 @@ func TestSchedulerSaturationAndDrain(t *testing.T) {
 
 func TestSchedulerCanceledBeforeStart(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 2, nil, m)
+	s := NewScheduler(1, 2, m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Submit(ctx, testJob(t)); !errors.Is(err, context.Canceled) {
@@ -141,7 +135,7 @@ func TestSchedulerCanceledBeforeStart(t *testing.T) {
 
 func TestSchedulerFaultErrors(t *testing.T) {
 	m := NewMetrics()
-	s := NewScheduler(1, 2, nil, m)
+	s := NewScheduler(1, 2, m)
 
 	job := testJob(t)
 	job.Cfg.Faults = &hypermm.FaultPlan{Seed: 1, Drop: 1, MaxRetries: 2}

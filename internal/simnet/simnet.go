@@ -102,15 +102,6 @@ type Config struct {
 	// may consume; a node whose clock passes it fails with ErrDeadline
 	// at its next send, receive or collective step.
 	Deadline float64
-
-	// Persistent keeps one worker goroutine per node alive across runs:
-	// the first Run spawns them and subsequent runs hand the next
-	// program closure to the parked workers instead of respawning P
-	// goroutines. Machine pools use this to amortize setup across a
-	// serving workload; a persistent machine must be released with
-	// Close or its workers leak. Simulated clocks, counters and results
-	// are byte-identical in both modes (the per-run reset is the same).
-	Persistent bool
 }
 
 // Msg is a delivered message.
@@ -145,7 +136,7 @@ type Machine struct {
 	Cfg    Config
 	Cube   hypercube.Cube // valid for the Hypercube topology
 	torusQ int            // side length for the Torus2D topology
-	nodes  []*Node
+	nodes  []Node
 	bar    *barrier
 
 	// Abort machinery: the first node to fail records its fault and
@@ -156,20 +147,21 @@ type Machine struct {
 	failMu   sync.Mutex
 	failErr  error
 
-	// Persistent-worker state (Cfg.Persistent): one goroutine per node
-	// parks on its work channel between runs. started/closed are only
-	// touched from the run-driving goroutine (RunErr and Close are not
-	// safe to call concurrently, same as two overlapping runs never
-	// were).
-	started bool
-	closed  bool
-	runWG   sync.WaitGroup
-	panics  chan string
+	runWG  sync.WaitGroup
+	panics chan string
 }
 
-// NewMachine builds a machine with cfg.P processor nodes.
+// pendInit is the pending-queue capacity each node starts with; the
+// lockstep programs rarely park more, and a deeper queue spills to its
+// own array on the first append past it.
+const pendInit = 4
+
+// NewMachine builds a machine with cfg.P processor nodes. Besides one
+// inbox channel per node, it allocates a constant number of objects:
+// the nodes, their port clocks and their initial pending queues are
+// carved from one shared array each.
 func NewMachine(cfg Config) *Machine {
-	m := &Machine{Cfg: cfg, nodes: make([]*Node, cfg.P), bar: newBarrier(cfg.P), down: make(chan struct{})}
+	m := &Machine{Cfg: cfg, nodes: make([]Node, cfg.P), bar: newBarrier(cfg.P)}
 	switch cfg.Topology {
 	case Torus2D:
 		q := intSqrt(cfg.P)
@@ -180,40 +172,22 @@ func NewMachine(cfg Config) *Machine {
 	default:
 		m.Cube = hypercube.New(cfg.P)
 	}
+	np := m.numPorts()
 	cap := cfg.InboxCap
 	if cap <= 0 {
-		cap = 8*m.numPorts() + 64
+		cap = 8*np + 64
 	}
+	ports := make([]float64, 2*np*cfg.P)
+	pend := make([]*Msg, pendInit*cfg.P)
 	for id := range m.nodes {
-		m.nodes[id] = &Node{
-			ID:       id,
-			m:        m,
-			inbox:    make(chan *Msg, cap),
-			sendPort: make([]float64, m.numPorts()),
-			recvPort: make([]float64, m.numPorts()),
-			work:     make(chan func(*Node), 1),
-		}
+		n, b := &m.nodes[id], 2*np*id
+		n.ID, n.m = id, m
+		n.inbox = make(chan *Msg, cap)
+		n.sendPort = ports[b : b+np : b+np]
+		n.recvPort = ports[b+np : b+2*np : b+2*np]
+		n.pend = pend[pendInit*id : pendInit*id : pendInit*(id+1)]
 	}
 	return m
-}
-
-// Close releases the machine: parked in-flight message buffers return
-// to their pools and, on a persistent machine, the node worker
-// goroutines exit. A closed machine cannot run again. Close is
-// idempotent; it must not race a run in flight. Non-persistent machines
-// need no Close (their per-run goroutines exit on their own), but
-// calling it is always safe.
-func (m *Machine) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	for _, n := range m.nodes {
-		n.releaseParked()
-		if m.started {
-			close(n.work)
-		}
-	}
 }
 
 // intSqrt returns the integer square root of x.
@@ -226,7 +200,7 @@ func intSqrt(x int) int {
 }
 
 // Node returns the node with the given address.
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
+func (m *Machine) Node(id int) *Node { return &m.nodes[id] }
 
 // P returns the number of processors.
 func (m *Machine) P() int { return m.Cfg.P }
@@ -278,12 +252,8 @@ func (m *Machine) Run(program func(n *Node)) RunStats {
 // originating fault is returned as an error that errors.Is can match.
 // Any other node panic is re-raised with the node id attached.
 func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
-	if m.closed {
-		return RunStats{}, errors.New("simnet: machine is closed")
-	}
 	// Arm the abort machinery for this run. Node goroutines observe
-	// these writes through the happens-before edge of their spawn (or,
-	// on a persistent machine, of the work-channel hand-off).
+	// these writes through the happens-before edge of their spawn.
 	m.panics = make(chan string, len(m.nodes))
 	m.down = make(chan struct{})
 	m.downOnce = sync.Once{}
@@ -298,26 +268,13 @@ func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
 	// not happened yet, and reset drains the inbox — the message would
 	// be silently lost and its receiver would block forever (observed
 	// as a rare large-p deadlock).
-	for _, n := range m.nodes {
-		n.reset()
+	for i := range m.nodes {
+		m.nodes[i].reset()
 	}
+	// One goroutine per node, per run: none outlives the run.
 	m.runWG.Add(len(m.nodes))
-	if m.Cfg.Persistent {
-		// Warm path: hand the program to the parked per-node workers.
-		if !m.started {
-			m.started = true
-			for _, n := range m.nodes {
-				go n.workLoop()
-			}
-		}
-		for _, n := range m.nodes {
-			n.work <- program
-		}
-	} else {
-		// Cold path: one fresh goroutine per node, per run.
-		for _, n := range m.nodes {
-			go n.runProgram(program)
-		}
+	for i := range m.nodes {
+		go m.nodes[i].runProgram(program)
 	}
 	m.runWG.Wait()
 	select {
@@ -332,21 +289,12 @@ func (m *Machine) RunErr(program func(n *Node)) (RunStats, error) {
 		// The abort left in-flight messages parked in inboxes and
 		// pending queues; release their pooled buffers now so pool
 		// accounting balances without waiting for the next run's reset.
-		for _, n := range m.nodes {
-			n.releaseParked()
+		for i := range m.nodes {
+			m.nodes[i].releaseParked()
 		}
 		return RunStats{}, err
 	}
 	return m.collect(), nil
-}
-
-// workLoop is a persistent node worker: it parks on the work channel
-// between runs and executes one program closure per hand-off, until
-// Close ends it.
-func (n *Node) workLoop() {
-	for program := range n.work {
-		n.runProgram(program)
-	}
 }
 
 // runProgram executes one run's program on the node, converting a typed
@@ -402,7 +350,8 @@ func (m *Machine) recordFault(fe *FaultError) {
 func (m *Machine) collect() RunStats {
 	var rs RunStats
 	rs.Nodes = make([]NodeStats, len(m.nodes))
-	for i, n := range m.nodes {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		s := NodeStats{
 			ID: n.ID, Clock: n.now, Msgs: n.msgs, Words: n.words,
 			Startups: n.startups, WordHops: n.wordHops, Flops: n.flops,
@@ -440,17 +389,13 @@ type Node struct {
 
 	inbox chan *Msg
 
-	// work receives one program closure per run when the machine is
-	// persistent (Cfg.Persistent); the node's worker goroutine parks on
-	// it between runs. Unused (but allocated) in cold mode.
-	work chan func(*Node)
-
 	// pend parks out-of-order arrivals in arrival order; match scans it
 	// for the first (source, tag) hit. The lockstep programs keep it a
-	// few messages deep, and the slice keeps its backing array across
-	// runs. The mutex exists for Machine.Diagnose, which reads from a
-	// watchdog goroutine — all other access is from the node's own
-	// goroutine.
+	// few messages deep: it starts as the node's pendInit-slot share of
+	// a machine-wide array, and the slice keeps its backing array (that
+	// share, or the one a deeper queue grew into) across runs. The
+	// mutex exists for Machine.Diagnose, which reads from a watchdog
+	// goroutine — all other access is from the node's own goroutine.
 	pendMu sync.Mutex
 	pend   []*Msg
 
@@ -844,7 +789,8 @@ func (n *Node) match(src int, tag uint64) *Msg {
 // run appears stalled; the pending index itself is read under its lock.
 func (m *Machine) Diagnose() string {
 	var sb strings.Builder
-	for _, n := range m.nodes {
+	for i := range m.nodes {
+		n := &m.nodes[i]
 		if !n.waiting.Load() {
 			continue
 		}

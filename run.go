@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hypermm/internal/simnet"
+	"hypermm/internal/trace"
 )
 
 // CommStats aggregates the communication and computation counters of a
@@ -36,17 +37,17 @@ type Result struct {
 // for free; communication and computation inside the algorithm are
 // charged to the simulated clock; the result is collected for free.
 func Run(alg Algorithm, cfg Config, A, B *Matrix) (*Result, error) {
+	return run(alg, cfg, A, B, nil)
+}
+
+// run executes one multiplication on a machine built for this run
+// alone, recording its events into log when log is non-nil.
+func run(alg Algorithm, cfg Config, A, B *Matrix, log *trace.Log) (*Result, error) {
 	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(m, alg, A, B)
-}
-
-// runOn executes one multiplication on an existing machine — freshly
-// built by Run or checked out warm by MachinePool.RunOn; the two paths
-// produce identical results.
-func runOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, error) {
+	m.Cfg.Trace = log
 	c, rs, err := alg.runner()(m, A.internal(), B.internal())
 	if err != nil {
 		return nil, err
@@ -54,27 +55,31 @@ func runOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, error) {
 	return &Result{C: fromInternal(c), Elapsed: rs.Elapsed, Comm: commStats(rs)}, nil
 }
 
-func validateConfig(cfg Config) error {
+func newMachine(cfg Config) (*simnet.Machine, error) {
 	if cfg.P <= 0 || cfg.P&(cfg.P-1) != 0 {
-		return fmt.Errorf("hypermm: P=%d is not a positive power of two", cfg.P)
+		return nil, fmt.Errorf("hypermm: P=%d is not a positive power of two", cfg.P)
 	}
 	if cfg.Ts < 0 || cfg.Tw < 0 || cfg.Tc < 0 {
-		return fmt.Errorf("hypermm: negative cost parameter in %+v", cfg)
+		return nil, fmt.Errorf("hypermm: negative cost parameter in %+v", cfg)
 	}
 	if cfg.Deadline < 0 {
-		return fmt.Errorf("hypermm: negative deadline %g", cfg.Deadline)
-	}
-	return nil
-}
-
-func newMachine(cfg Config) (*simnet.Machine, error) {
-	if err := validateConfig(cfg); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hypermm: negative deadline %g", cfg.Deadline)
 	}
 	return simnet.NewMachine(simnet.Config{
 		P: cfg.P, Ports: cfg.Ports.internal(), Ts: cfg.Ts, Tw: cfg.Tw, Tc: cfg.Tc,
 		Faults: cfg.Faults.internal(), Deadline: cfg.Deadline,
 	}), nil
+}
+
+// PoolStats is the counter snapshot of a machine pool. Machines are
+// built per run and there is no pool: the type exists only so that
+// existing callers of the serving tier's metrics renderer compile, and
+// its values are ignored.
+//
+// Deprecated: there is no machine pool to report on.
+type PoolStats struct {
+	Hits, Misses, Evictions int64
+	Size                    int
 }
 
 func commStats(rs simnet.RunStats) CommStats {

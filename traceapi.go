@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"hypermm/internal/obs"
-	"hypermm/internal/simnet"
 	"hypermm/internal/trace"
 )
 
@@ -20,23 +19,12 @@ type Trace struct {
 // compute span is recorded in simulated time. Tracing does not change
 // the simulated clocks.
 func RunTraced(alg Algorithm, cfg Config, A, B *Matrix) (*Result, *Trace, error) {
-	m, err := newMachine(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runTracedOn(m, alg, A, B)
-}
-
-// runTracedOn is runOn with event tracing attached to the machine for
-// the duration of the run (MachinePool strips the trace at return).
-func runTracedOn(m *simnet.Machine, alg Algorithm, A, B *Matrix) (*Result, *Trace, error) {
 	log := trace.New()
-	m.Cfg.Trace = log
-	res, err := runOn(m, alg, A, B)
+	res, err := run(alg, cfg, A, B, log)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, &Trace{log: log, p: m.P(), elapsed: res.Elapsed}, nil
+	return res, &Trace{log: log, p: cfg.P, elapsed: res.Elapsed}, nil
 }
 
 // Gantt renders the timeline as one text row per node, width columns
